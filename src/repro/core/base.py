@@ -166,9 +166,8 @@ def validate_query_batch(
 
 #: Re-entrancy depth of query instrumentation.  A batch call that
 #: falls back to the scalar loop (or an estimator delegating to inner
-#: estimators, like the hybrid) must be recorded once, at the
-#: outermost level.  Thread-local so concurrent harness workers track
-#: their own depth.
+#: estimators) must be recorded once, at the outermost level.
+#: Thread-local so concurrent harness workers track their own depth.
 _query_state = threading.local()
 
 

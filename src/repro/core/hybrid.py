@@ -8,15 +8,17 @@ The paper's new estimator combines the strengths of both families:
 2. **Merge** adjacent bins whose sample count is too small to support
    their own kernel estimate.
 3. **Estimate within bins**: each bin runs an independent kernel
-   estimator over its samples, with its *own* bandwidth, treating the
-   bin edges as domain boundaries (boundary kernels by default).  A
+   estimate over its samples, with its *own* bandwidth, treating the
+   bin edges as domain boundaries (Simonoff–Dong boundary kernels).  A
    bin's mass is its sample fraction, so discontinuities of the true
    PDF end up *between* bins where kernel smoothing never crosses
    them.
 
 Bins whose sample population is too thin for kernel estimation fall
 back to the uniform-within-bin assumption — exactly a histogram bin —
-which is why the method is a genuine hybrid.
+which is why the method is a genuine hybrid.  The partition is stored
+and evaluated as contiguous arrays (:mod:`repro.core.hybrid_flat`),
+never as one estimator object per bin.
 """
 
 from __future__ import annotations
@@ -36,45 +38,19 @@ from repro.core.base import (
 from repro.bandwidth.scale import clamp_bandwidth
 from repro.core.changepoints import detect_change_points
 from repro.core.hybrid_flat import (
-    FlatHybrid,
     bin_offsets,
     build_flat,
     flat_density,
     flat_selectivities,
 )
-from repro.core.kernel.boundary import make_kernel_estimator
 from repro.data.domain import Interval
-from repro.telemetry.runtime import get_telemetry
 
 if TYPE_CHECKING:
-    from repro.core.kernel.estimator import KernelSelectivityEstimator
     from repro.core.summary import FrozenSummary
 
 #: Bins with fewer samples than this cannot support a kernel estimate
 #: and fall back to the uniform-within-bin assumption.
 MIN_KERNEL_SAMPLES = 8
-
-
-class _UniformBin:
-    """Uniform-density fallback for sparsely populated bins."""
-
-    def __init__(self, interval: Interval) -> None:
-        self._interval = interval
-
-    def selectivities(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.raw_selectivities(a, b)
-
-    def raw_selectivities(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        lo = np.clip(a, self._interval.low, self._interval.high)
-        hi = np.clip(b, self._interval.low, self._interval.high)
-        return np.maximum(hi - lo, 0.0) / self._interval.width
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        inside = (x >= self._interval.low) & (x <= self._interval.high)
-        return np.where(inside, 1.0 / self._interval.width, 0.0)
 
 
 class HybridEstimator(DensityEstimator):
@@ -92,13 +68,11 @@ class HybridEstimator(DensityEstimator):
         Adjacent bins are merged until every bin holds at least this
         fraction of the sample ("merged into one if the corresponding
         number of records is not sufficiently large", paper §3.3).
-    boundary:
-        Boundary treatment of the per-bin kernel estimators
-        (``"kernel"`` in the paper's experiments).
     bandwidth_rule:
         Callable mapping a bin's sample array to a bandwidth.  Defaults
         to the Epanechnikov normal-scale rule; the bandwidth is always
-        clamped to half the bin width so boundary regions never overlap.
+        clamped below a quarter of the bin width so boundary regions
+        never overlap.
     changepoint_kwargs:
         Extra keyword arguments forwarded to
         :func:`repro.core.changepoints.detect_change_points`.
@@ -111,7 +85,6 @@ class HybridEstimator(DensityEstimator):
         *,
         max_changepoints: int = 8,
         min_bin_fraction: float = 0.05,
-        boundary: str = "kernel",
         bandwidth_rule: Callable[[np.ndarray], float] | None = None,
         changepoint_kwargs: dict | None = None,
     ) -> None:
@@ -134,59 +107,30 @@ class HybridEstimator(DensityEstimator):
 
         self._domain = domain
         self._n = int(values.size)
-        self._boundary = boundary
         self._edges = edges
         self._bins: list[Interval] = domain.subdivide(edges[1:-1])
-        self._weights: list[float] = []
-        self._estimators: list[object] = []
-        self._scales: list[float] = []
-        bandwidths: list[float] = []
-        for index, interval in enumerate(self._bins):
-            in_bin = sorted_values[offsets[index] : offsets[index + 1]]
-            self._weights.append(in_bin.size / self._n)
-            estimator = self._build_bin_estimator(in_bin, interval, boundary, bandwidth_rule)
-            self._estimators.append(estimator)
-            self._scales.append(self._bin_scale(estimator, interval))
-            bandwidths.append(getattr(estimator, "bandwidth", 1.0))
-        # Contiguous fast path (boundary kernels only — the default):
-        # one concatenated sorted sample + per-bin arrays answers whole
-        # batches with two edge searches and segmented reductions; the
-        # per-bin objects above stay as the reference implementation.
-        self._flat: FlatHybrid | None = None
-        if boundary == "kernel":
-            coeff = np.asarray(self._weights) * np.asarray(self._scales)
-            is_kernel = np.array(
-                [not isinstance(est, _UniformBin) for est in self._estimators]
+        self._weights = np.diff(offsets) / self._n
+        bandwidths = [
+            self._bin_bandwidth(
+                sorted_values[offsets[index] : offsets[index + 1]],
+                interval,
+                bandwidth_rule,
             )
-            self._flat = build_flat(
-                sorted_values,
-                edges,
-                offsets,
-                coeff,
-                is_kernel,
-                np.asarray(bandwidths, dtype=np.float64),
-            )
+            for index, interval in enumerate(self._bins)
+        ]
+        self._flat = build_flat(
+            sorted_values,
+            edges,
+            offsets,
+            self._weights,
+            np.array([h is not None for h in bandwidths]),
+            np.array([1.0 if h is None else h for h in bandwidths]),
+        )
 
     @classmethod
     def from_summary(cls, summary: "FrozenSummary", **kwargs: object) -> "HybridEstimator":
         """Build from a frozen column summary (see ``repro.core.summary``)."""
         return cls(summary.sample, summary.domain, **kwargs)
-
-    @staticmethod
-    def _bin_values(values: np.ndarray, interval: Interval, domain: Interval) -> np.ndarray:
-        """Sample values belonging to a bin (shared binning rule).
-
-        Bins are half-open ``[low, high)``; the rightmost bin is closed
-        so no sample is dropped or double counted.  Delegates to the
-        same ``searchsorted`` rule (:func:`bin_offsets`) the bin-merge
-        step and the flat layout use, so edge-coincident samples land
-        in one bin under every code path.
-        """
-        sorted_values = np.sort(values)
-        lo = int(np.searchsorted(sorted_values, interval.low, side="left"))
-        side = "right" if interval.high >= domain.high else "left"
-        hi = int(np.searchsorted(sorted_values, interval.high, side=side))
-        return sorted_values[lo:hi]
 
     @staticmethod
     def _merge_small_bins(
@@ -222,25 +166,25 @@ class HybridEstimator(DensityEstimator):
         return edges
 
     @staticmethod
-    def _build_bin_estimator(
+    def _bin_bandwidth(
         in_bin: np.ndarray,
         interval: Interval,
-        boundary: str,
         bandwidth_rule: Callable[[np.ndarray], float],
-    ) -> "_UniformBin | KernelSelectivityEstimator":
+    ) -> float | None:
+        """The bin's kernel bandwidth, or ``None`` for a uniform bin."""
         if in_bin.size < MIN_KERNEL_SAMPLES:
-            return _UniformBin(interval)
+            return None
         try:
             bandwidth = float(bandwidth_rule(in_bin))
         except EstimatorError:
             # Degenerate bins (all duplicates => zero scale) cannot
             # support a kernel estimate.
-            return _UniformBin(interval)
+            return None
         # Non-finite bandwidths (a rule dividing by a zero scale can
         # produce NaN/inf) must be caught *before* the clamp, which
         # would silently coerce them to the cap.
         if not np.isfinite(bandwidth):
-            return _UniformBin(interval)
+            return None
         # Cap the bandwidth at a quarter of the bin width so the two
         # boundary regions never cover more than half the bin.  The
         # looser half-width cap (which only keeps the regions disjoint)
@@ -249,33 +193,8 @@ class HybridEstimator(DensityEstimator):
         # guard degenerate zero bandwidths from duplicate-heavy bins.
         bandwidth = clamp_bandwidth(bandwidth, interval.width / 2.0)
         if bandwidth <= 0:
-            return _UniformBin(interval)
-        # ``use_moments=False``: the per-bin objects double as the
-        # reference implementation for the flat fast path, so they pin
-        # the per-sample arithmetic and stay numerically independent
-        # of the prefix-moment evaluation.
-        return make_kernel_estimator(
-            in_bin, bandwidth, interval, boundary=boundary, use_moments=False
-        )
-
-    @staticmethod
-    def _bin_scale(estimator: "_UniformBin | KernelSelectivityEstimator", interval: Interval) -> float:
-        """Renormalization factor making the bin's mass exactly 1.
-
-        Boundary-kernel estimates are consistent but not densities
-        (paper §3.2.1): the mass a bin's estimator assigns to its own
-        interval drifts from 1 as the bandwidth grows (observed up to
-        ~1.08 high and ~0.9 low on duplicate-heavy bins).  The hybrid
-        hands every bin exactly its sample fraction, so the per-bin
-        estimate is rescaled by the *raw* (unclipped) mass over the
-        bin.
-        """
-        low = np.array([interval.low])
-        high = np.array([interval.high])
-        mass = float(estimator.raw_selectivities(low, high)[0])
-        if not np.isfinite(mass) or mass <= 1e-9:
-            return 1.0
-        return 1.0 / mass
+            return None
+        return bandwidth
 
     @property
     def sample_size(self) -> int:
@@ -299,7 +218,7 @@ class HybridEstimator(DensityEstimator):
     @property
     def bin_weights(self) -> np.ndarray:
         """Sample mass fraction per bin."""
-        return np.asarray(self._weights)
+        return self._weights.copy()
 
     def selectivity(self, a: float, b: float) -> float:
         a, b = validate_query(a, b)
@@ -308,91 +227,19 @@ class HybridEstimator(DensityEstimator):
     def selectivities(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Batched selectivity over the partition.
 
-        With boundary kernels (the default) the contiguous flat layout
-        answers the whole batch with two ``searchsorted`` calls plus
-        segmented reductions across all bins at once; other boundary
-        treatments fall back to the per-bin reference loop.  Per-bin
-        estimates are renormalized to unit mass over the bin before
-        weighting (see :meth:`_bin_scale`).
+        The flat layout answers the whole batch with two
+        ``searchsorted`` calls plus segmented reductions across all
+        bins at once.  Per-bin estimates are renormalized to unit mass
+        over the bin before weighting (see
+        :func:`repro.core.hybrid_flat.build_flat`).
         """
         a, b = validate_query_batch(a, b)
         shape = np.broadcast(a, b).shape
         flat_a = np.broadcast_to(a, shape).astype(np.float64, copy=False).ravel()
         flat_b = np.broadcast_to(b, shape).astype(np.float64, copy=False).ravel()
-        if self._flat is not None:
-            total = flat_selectivities(self._flat, flat_a, flat_b)
-        else:
-            self._count_fallback()
-            total = self._selectivities_loop(flat_a, flat_b)
+        total = flat_selectivities(self._flat, flat_a, flat_b)
         return np.clip(total, 0.0, 1.0).reshape(shape)
-
-    def selectivities_reference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-bin reference implementation (independent arithmetic).
-
-        Walks the per-bin estimator objects exactly as the pre-flat
-        implementation did; ``tests/test_hybrid_flat.py`` property
-        checks the flat fast path against this to 1e-12.
-        """
-        a, b = validate_query_batch(a, b)
-        shape = np.broadcast(a, b).shape
-        flat_a = np.broadcast_to(a, shape).astype(np.float64, copy=False).ravel()
-        flat_b = np.broadcast_to(b, shape).astype(np.float64, copy=False).ravel()
-        total = self._selectivities_loop(flat_a, flat_b)
-        return np.clip(total, 0.0, 1.0).reshape(shape)
-
-    def _selectivities_loop(self, flat_a: np.ndarray, flat_b: np.ndarray) -> np.ndarray:
-        total = np.zeros(flat_a.shape, dtype=np.float64)
-        for interval, weight, scale, estimator in zip(
-            self._bins, self._weights, self._scales, self._estimators
-        ):
-            if weight == 0.0:
-                continue
-            overlap = (flat_b >= interval.low) & (flat_a <= interval.high)
-            if not overlap.any():
-                continue
-            lo = np.clip(flat_a[overlap], interval.low, interval.high)
-            hi = np.clip(flat_b[overlap], interval.low, interval.high)
-            hi = np.maximum(hi, lo)
-            part = estimator.raw_selectivities(lo, hi)
-            total[overlap] += (weight * scale) * part
-        return total
 
     def density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if self._flat is not None:
-            return flat_density(self._flat, x.ravel()).reshape(x.shape)
-        self._count_fallback()
-        return self._density_loop(x)
-
-    def _count_fallback(self) -> None:
-        """Tally a serve on the per-bin loop (no flat layout built).
-
-        The flat fast path only covers the ``"kernel"`` boundary
-        policy; any other policy (reflection, none) serves through the
-        per-bin Python loop.  That slow path is intentional but must be
-        visible: every hit increments ``hybrid.fallback.<boundary>``
-        so dashboards can see when production traffic lands on it.
-        The explicit ``*_reference`` methods are exempt — tests call
-        those on purpose.
-        """
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"hybrid.fallback.{self._boundary}")
-
-    def density_reference(self, x: np.ndarray) -> np.ndarray:
-        """Per-bin reference implementation of :meth:`density`."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return self._density_loop(x)
-
-    def _density_loop(self, x: np.ndarray) -> np.ndarray:
-        total = np.zeros(x.shape, dtype=np.float64)
-        for interval, weight, scale, estimator in zip(
-            self._bins, self._weights, self._scales, self._estimators
-        ):
-            if weight == 0.0:
-                continue
-            inside = (x >= interval.low) & (x <= interval.high)
-            if np.any(inside):
-                local = estimator.density(x[inside])
-                total[inside] += (weight * scale) * np.asarray(local)
-        return total
+        return flat_density(self._flat, x.ravel()).reshape(x.shape)

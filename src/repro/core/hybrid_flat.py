@@ -1,10 +1,7 @@
 """Flat (structure-of-arrays) evaluation of the hybrid estimator.
 
-The object layout of :class:`repro.core.hybrid.HybridEstimator` — a
-Python list of per-bin estimator objects — answers a query batch with
-one vectorized call *per bin*, each paying its own validation,
-window bookkeeping, and reduction overhead.  This module flattens the
-whole partition into contiguous arrays:
+:class:`repro.core.hybrid.HybridEstimator` keeps its whole partition
+in contiguous arrays instead of one estimator object per bin:
 
 - one concatenated sorted-sample array (bins partition the domain in
   order, so per-bin sorted samples concatenate to the globally sorted
@@ -16,15 +13,16 @@ whole partition into contiguous arrays:
 
 A query batch expands into (query, bin) pairs for the bins each query
 overlaps — two ``searchsorted`` calls against the edge array — and
-every pair evaluates the exact same per-bin formulas the object path
-uses (:class:`~repro.core.kernel.boundary.BoundaryKernelEstimator`
+every pair evaluates the per-bin boundary-kernel formulas
+(:class:`~repro.core.kernel.boundary.BoundaryKernelEstimator`
 three-region decomposition, uniform fallback), reduced back to per-
-query totals with one ``np.add.reduceat``.  No Python loop over bins
-or queries survives.
+query totals with one ``np.add.reduceat``.  The build computes each
+bin's renormalizing mass with the same pair formulas.  No Python loop
+over bins or queries survives.
 
-The object path stays available as the reference implementation
-(``HybridEstimator.selectivities_reference``); the property tests in
-``tests/test_hybrid_flat.py`` pin the two paths together to 1e-12.
+``tests/hybrid_oracle.py`` rebuilds the partition as one boundary-
+kernel estimator per bin; the property tests in
+``tests/test_hybrid_flat.py`` pin this layout to it to 1e-12.
 """
 
 from __future__ import annotations
@@ -90,16 +88,24 @@ def build_flat(
     sorted_values: np.ndarray,
     edges: np.ndarray,
     offsets: np.ndarray,
-    coeff: np.ndarray,
+    weights: np.ndarray,
     is_kernel: np.ndarray,
     bandwidths: np.ndarray,
 ) -> FlatHybrid:
-    """Assemble the flat layout from per-bin build results.
+    """Assemble the flat layout from the partition and per-bin bandwidths.
 
     ``bandwidths`` entries for non-kernel bins are ignored (stored as
     the 1.0 placeholder).  The prefix moments are built per bin (each
     bin is its own segment, centered on its own midrange) so interior
     sums never mix bins and carry no cross-bin cancellation.
+
+    Each bin's ``coeff`` is its sample ``weight`` divided by its raw
+    mass (:func:`bin_masses`).  Boundary-kernel estimates are
+    consistent but not densities (paper §3.2.1): the mass a bin assigns
+    to its own interval drifts from 1 as the bandwidth grows (observed
+    up to ~1.08 high and ~0.9 low on duplicate-heavy bins), so the
+    rescaling hands every bin exactly its sample fraction.  A
+    non-finite or vanishing mass leaves the bin unscaled.
     """
     values = np.ascontiguousarray(sorted_values, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.float64)
@@ -115,11 +121,12 @@ def build_flat(
         ]
     )
     use_moments = is_kernel & (spreads <= MOMENT_MAX_RATIO * h)
-    return FlatHybrid(
+    weights = np.asarray(weights, dtype=np.float64)
+    flat = FlatHybrid(
         edges=edges,
         offsets=offsets,
         values=values,
-        coeff=np.asarray(coeff, dtype=np.float64),
+        coeff=weights,
         is_kernel=is_kernel,
         h=h,
         inv_h=1.0 / h,
@@ -128,6 +135,25 @@ def build_flat(
         moments=moments,
         use_moments=use_moments,
     )
+    mass = bin_masses(flat)
+    usable = np.isfinite(mass) & (mass > 1e-9)
+    scale = 1.0 / np.where(usable, mass, 1.0)
+    return dataclasses.replace(flat, coeff=weights * scale)
+
+
+def bin_masses(flat: FlatHybrid) -> np.ndarray:
+    """Raw (unscaled) mass each bin's estimate assigns to its own interval.
+
+    Kernel bins evaluate the pair formulas of :func:`flat_selectivities`
+    over ``[low, high]``; uniform-fallback bins have mass exactly 1.
+    """
+    mass = np.ones(flat.counts.size, dtype=np.float64)
+    kernel = np.flatnonzero(flat.is_kernel)
+    if kernel.size:
+        mass[kernel] = _kernel_pair_masses(
+            flat, flat.edges[kernel], flat.edges[kernel + 1], kernel
+        )
+    return mass
 
 
 def _expand_pairs(
@@ -245,6 +271,43 @@ def _pair_right_sums(
     return segment_window_sums(lo_idx, off_hi, term)
 
 
+def _kernel_pair_masses(
+    flat: FlatHybrid, lo: np.ndarray, hi: np.ndarray, pk: np.ndarray
+) -> np.ndarray:
+    """Raw boundary-kernel mass of ``[lo, hi]`` within kernel bin ``pk``.
+
+    Per (range, bin) pair, with the range already clipped to the bin
+    (``left <= lo <= hi <= right``): the three-region decomposition of
+    ``BoundaryKernelEstimator.raw_selectivities``, as a fraction of the
+    bin's own samples.
+    """
+    left = flat.edges[pk]
+    right = flat.edges[pk + 1]
+    h = flat.h[pk]
+    inv_h = flat.inv_h[pk]
+    inner_left = left + h
+    inner_right = right - h
+    # Left boundary region [left, left + h), in boundary units.
+    left_mass = _pair_left_sums(
+        flat,
+        (lo - left) * inv_h,
+        (np.minimum(hi, inner_left) - left) * inv_h,
+        pk,
+    )
+    # Right boundary region (right - h, right], mirrored units.
+    right_mass = _pair_right_sums(
+        flat,
+        (right - hi) * inv_h,
+        (right - np.maximum(lo, inner_right)) * inv_h,
+        pk,
+    )
+    # Interior region: ordinary Epanechnikov CDF sums.
+    i_lo = np.minimum(np.maximum(lo, inner_left), inner_right)
+    i_hi = np.maximum(np.minimum(hi, inner_right), i_lo)
+    interior = _pair_cdf_sums(flat, i_hi, pk) - _pair_cdf_sums(flat, i_lo, pk)
+    return (left_mass + interior + right_mass) / flat.counts[pk]
+
+
 def flat_selectivities(
     flat: FlatHybrid, flat_a: np.ndarray, flat_b: np.ndarray
 ) -> np.ndarray:
@@ -278,34 +341,9 @@ def flat_selectivities(
 
     kernel = ~uniform
     if kernel.any():
-        pk = pair_k[kernel]
-        k_lo = lo[kernel]
-        k_hi = hi[kernel]
-        left = left_edge[kernel]
-        right = right_edge[kernel]
-        h = flat.h[pk]
-        inv_h = flat.inv_h[pk]
-        inner_left = left + h
-        inner_right = right - h
-        # Left boundary region [left, left + h), in boundary units.
-        left_mass = _pair_left_sums(
-            flat,
-            (k_lo - left) * inv_h,
-            (np.minimum(k_hi, inner_left) - left) * inv_h,
-            pk,
+        contrib[kernel] = _kernel_pair_masses(
+            flat, lo[kernel], hi[kernel], pair_k[kernel]
         )
-        # Right boundary region (right - h, right], mirrored units.
-        right_mass = _pair_right_sums(
-            flat,
-            (right - k_hi) * inv_h,
-            (right - np.maximum(k_lo, inner_right)) * inv_h,
-            pk,
-        )
-        # Interior region: ordinary Epanechnikov CDF sums.
-        i_lo = np.minimum(np.maximum(k_lo, inner_left), inner_right)
-        i_hi = np.maximum(np.minimum(k_hi, inner_right), i_lo)
-        interior = _pair_cdf_sums(flat, i_hi, pk) - _pair_cdf_sums(flat, i_lo, pk)
-        contrib[kernel] = (left_mass + interior + right_mass) / flat.counts[pk]
 
     weighted = contrib * flat.coeff[pair_k]
     populated = counts > 0
@@ -317,8 +355,7 @@ def flat_density(flat: FlatHybrid, flat_x: np.ndarray) -> np.ndarray:
     """Pointwise hybrid density over a flat batch of points.
 
     Points on an interior edge receive contributions from *both*
-    adjacent bins (each bin's density is inclusive of both its edges),
-    matching the per-bin reference path.
+    adjacent bins (each bin's density is inclusive of both its edges).
     """
     edges = flat.edges
     bins = edges.size - 1

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import InvalidSampleError, validate_sample
-from repro.core.kernel import compiled
 from repro.core.kernel.estimator import (
     PickFn,
     _validate_bandwidth,
@@ -24,10 +23,7 @@ from repro.core.kernel.estimator import (
 from repro.data.domain import Interval
 
 #: Hermite-polynomial factors of the standard normal density:
-#: ``phi^(r)(t) = He_r(t) * phi(t)`` with signs folded in.  The
-#: expressions use explicit products (no ``**``) in the exact order of
-#: the compiled sources in :mod:`repro.core.kernel.compiled`, so the
-#: NumPy and jitted paths round identically term for term.
+#: ``phi^(r)(t) = He_r(t) * phi(t)`` with signs folded in.
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -177,14 +173,6 @@ class KernelDensity:
         inv_g = 1.0 / g
         lo = np.searchsorted(sample, flat - reach, side="left")
         hi = np.searchsorted(sample, flat + reach, side="right")
-        jitted = {
-            order: compiled.gaussian_derivative_window_sums(
-                flat, sample, inv_g, order, lo, hi
-            )
-            for order in orders
-        }
-        if all(value is not None for value in jitted.values()):
-            return jitted  # type: ignore[return-value]
 
         def prepare(pick: PickFn, i: np.ndarray) -> object:
             t = pick(flat)

@@ -45,7 +45,6 @@ from repro.core.base import (
     validate_query_batch,
     validate_sample,
 )
-from repro.core.kernel import compiled
 from repro.core.kernel import moments as moments_mod
 from repro.core.kernel.functions import EPANECHNIKOV, KernelFunction, get_kernel
 from repro.data.domain import Interval
@@ -210,8 +209,8 @@ class KernelSelectivityEstimator(DensityEstimator):
         # the estimator stays frozen after build).  The precision gate
         # keeps the polynomial-expansion cancellation far below 1e-12;
         # ``use_moments=False`` pins the per-sample path — the hybrid's
-        # reference bins use it so the fast and reference paths stay
-        # numerically independent.
+        # per-bin test oracle uses it so it stays numerically
+        # independent of the flat layout's prefix moments.
         self._moments: moments_mod.PrefixMoments | None = None
         if (
             use_moments
@@ -274,8 +273,7 @@ class KernelSelectivityEstimator(DensityEstimator):
         exactly 1 (counted via ``searchsorted``), samples above the
         reach contribute 0; only the window in between evaluates the
         kernel primitive — in O(1) per point through the prefix
-        moments when available, else per sample (compiled layer when
-        active, vectorized NumPy otherwise).
+        moments when available, else per sample.
         """
         sample, h = self._sorted, self._h
         reach = h * self._kernel.support
@@ -284,10 +282,6 @@ class KernelSelectivityEstimator(DensityEstimator):
         inv_h = 1.0 / h
         if self._moments is not None:
             return lo + moments_mod.epan_cdf_sums(self._moments, x, inv_h, lo, hi)
-        if self._kernel.name == "epanechnikov":
-            jitted = compiled.epan_cdf_window_sums(x, sample, inv_h, lo, hi)
-            if jitted is not None:
-                return lo + jitted
 
         def term(pick: PickFn, i: np.ndarray) -> np.ndarray:
             t = pick(x)
@@ -320,8 +314,8 @@ class KernelSelectivityEstimator(DensityEstimator):
     def raw_selectivities(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Unclipped batch selectivities (may exit ``[0, 1]`` by fp noise).
 
-        The building block :meth:`selectivities` clips; the hybrid
-        estimator uses the raw values to renormalize per-bin mass.
+        The building block :meth:`selectivities` clips; raw values let
+        a caller renormalize an estimate's mass over its domain.
         Endpoints must already be validated ``float64`` arrays.
         """
         flat_a = np.ascontiguousarray(a.ravel())

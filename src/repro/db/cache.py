@@ -1,9 +1,9 @@
 """Bounded, telemetry-instrumented caches for the database layer.
 
 A real system never rebuilds statistics it already holds: ANALYZE
-results are kept until the underlying data changes, and hot planner
-estimates are memoized.  :class:`LRUCache` is the shared building
-block — a bounded least-recently-used map whose lookups surface as
+results are kept until the underlying data changes, and the serving
+tier memoizes hot plans per snapshot.  :class:`LRUCache` is the shared
+building block — a bounded least-recently-used map whose lookups surface as
 ``cache.hit`` / ``cache.miss`` telemetry counters (plus per-cache
 ``cache.hit.<name>`` segments, see docs/OBSERVABILITY.md) so traced
 runs show exactly how much rebuilding was avoided.

@@ -273,9 +273,9 @@ class Catalog:
     def version(self) -> int:
         """Monotonic statistics version.
 
-        Bumped by every :meth:`analyze` and :meth:`invalidate`, so
-        downstream caches (the planner's estimate LRU) can key on it
-        and age out entries computed from superseded statistics.
+        Bumped by every :meth:`analyze` and :meth:`invalidate`, so a
+        cache keyed on it ages out entries computed from superseded
+        statistics.
         """
         return self._version
 

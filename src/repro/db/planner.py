@@ -16,20 +16,10 @@ import time
 import numpy as np
 
 from repro.core.base import InvalidQueryError, validate_query
-from repro.db.cache import MISS, LRUCache
 from repro.db.catalog import Catalog
 from repro.db.table import Table
 from repro.telemetry import get_telemetry
 from repro.telemetry.quality import QualityRecord, record_quality
-
-#: Entries kept in each planner's recent-estimate LRU.  Sized when a
-#: hybrid estimate cost ~100 us of per-bin Python dispatch; the flat
-#: hybrid layout cut that by an order of magnitude, but the cache stays
-#: at 512 because repeated hot predicates still dominate optimizer
-#: workloads and the hit-rate SLO (see docs/OBSERVABILITY.md) is
-#: calibrated against this capacity.
-ESTIMATE_CACHE_SIZE = 512
-
 
 @dataclasses.dataclass(frozen=True)
 class RangePredicate:
@@ -122,10 +112,6 @@ class Planner:
         self._c_seq = cost_seq_tuple
         self._c_rand = cost_random_tuple
         self._c_probe = cost_index_probe
-        # Recent range-estimate results.  Optimizers re-plan the same
-        # hot predicates constantly; keying on the catalog version
-        # ages out entries as soon as statistics are rebuilt.
-        self._estimates = LRUCache(ESTIMATE_CACHE_SIZE, name="planner")
 
     def selectivity(self, table: Table, predicates: "list[RangePredicate]") -> float:
         """Estimated selectivity of a conjunction of range predicates.
@@ -138,29 +124,9 @@ class Planner:
     def _selectivity_with_provenance(
         self, table: Table, predicates: "list[RangePredicate]"
     ) -> tuple[float, tuple[str, ...]]:
-        """Selectivity plus a human-readable source per factor.
-
-        Results are memoized in a bounded LRU keyed by the canonical
-        predicate set and the catalog's statistics version (lookups
-        surface as ``cache.hit.planner`` / ``cache.miss.planner``).
-        """
+        """Selectivity plus a human-readable source per factor."""
         if not predicates:
             return 1.0, ("no predicates: selectivity 1",)
-        key = (
-            table.name,
-            self._catalog.version,
-            tuple(sorted((p.column, p.a, p.b) for p in predicates)),
-        )
-        cached = self._estimates.get(key)
-        if cached is not MISS:
-            return cached
-        result = self._estimate_selectivity(table, predicates)
-        self._estimates.put(key, result)
-        return result
-
-    def _estimate_selectivity(
-        self, table: Table, predicates: "list[RangePredicate]"
-    ) -> tuple[float, tuple[str, ...]]:
         provenance: list[str] = []
         by_column: dict[str, RangePredicate] = {}
         for predicate in predicates:

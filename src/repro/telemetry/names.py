@@ -110,8 +110,6 @@ REGISTERED_PREFIXES: frozenset[str] = frozenset(
         "cache.invalidate",
         # per-table statistics-version gauges (repro.db.catalog)
         "catalog.statistics_version",
-        # per-boundary-policy slow-path tallies (repro.core.hybrid)
-        "hybrid.fallback",
         # per-correction-model gauges (repro.online.learning)
         "online.learning",
         # q-error / absolute-error series, optionally keyed by

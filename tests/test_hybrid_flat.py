@@ -1,20 +1,21 @@
-"""The flattened hybrid fast path vs the per-bin reference.
+"""The flat hybrid layout vs the per-bin oracle.
 
 The contract under test: ``HybridEstimator.selectivities`` /
-``density`` answered through the contiguous flat layout
-(:mod:`repro.core.hybrid_flat`) must match the per-bin estimator loop
-(``selectivities_reference`` / ``density_reference``) to 1e-12 —
-including the awkward inputs (zero-width queries, queries pinned on
-bin edges, single-bin partitions) — while the prefix-moment machinery
-it rides on (:mod:`repro.core.kernel.moments`) holds its own numerical
-guarantees.
+``density`` and the bin masses, answered through the contiguous flat
+layout (:mod:`repro.core.hybrid_flat`), must match one boundary-kernel
+estimator per bin (:class:`tests.hybrid_oracle.PerBinHybrid`) to
+1e-12 — including the awkward inputs (zero-width queries, queries
+pinned on bin edges, single-bin partitions, uniform-fallback bins) —
+while the prefix-moment machinery it rides on
+(:mod:`repro.core.kernel.moments`) holds its own numerical guarantees.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.base import EstimatorError
 from repro.core.hybrid import HybridEstimator
-from repro.core.hybrid_flat import bin_offsets
+from repro.core.hybrid_flat import bin_masses, bin_offsets
 from repro.core.kernel.moments import (
     MOMENT_MAX_RATIO,
     build_moments,
@@ -24,6 +25,7 @@ from repro.core.kernel.moments import (
     half_spread,
 )
 from repro.data.domain import Interval
+from tests.hybrid_oracle import PerBinHybrid
 
 DOMAIN = Interval(0.0, 1_000_000.0)
 
@@ -52,10 +54,9 @@ class TestFlatMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_changepoints(self, seed):
         est = HybridEstimator(_random_sample(seed), DOMAIN)
-        assert est._flat is not None
         a, b = _random_queries(seed + 100)
         np.testing.assert_allclose(
-            est.selectivities(a, b), est.selectivities_reference(a, b), atol=ATOL
+            est.selectivities(a, b), PerBinHybrid(est).selectivities(a, b), atol=ATOL
         )
 
     def test_zero_width_queries(self):
@@ -68,7 +69,7 @@ class TestFlatMatchesReference:
             ]
         )
         fast = est.selectivities(points, points)
-        ref = est.selectivities_reference(points, points)
+        ref = PerBinHybrid(est).selectivities(points, points)
         np.testing.assert_allclose(fast, ref, atol=ATOL)
         np.testing.assert_allclose(fast, 0.0, atol=ATOL)
 
@@ -81,7 +82,7 @@ class TestFlatMatchesReference:
         keep = b >= a
         np.testing.assert_allclose(
             est.selectivities(a[keep], b[keep]),
-            est.selectivities_reference(a[keep], b[keep]),
+            PerBinHybrid(est).selectivities(a[keep], b[keep]),
             atol=ATOL,
         )
 
@@ -96,7 +97,7 @@ class TestFlatMatchesReference:
         assert len(est.bins) == 1
         a, b = _random_queries(13)
         np.testing.assert_allclose(
-            est.selectivities(a, b), est.selectivities_reference(a, b), atol=ATOL
+            est.selectivities(a, b), PerBinHybrid(est).selectivities(a, b), atol=ATOL
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -111,18 +112,43 @@ class TestFlatMatchesReference:
             ]
         )
         fast = est.density(x)
-        ref = est.density_reference(x)
+        ref = PerBinHybrid(est).density(x)
         # Densities scale as 1/width (~1e-6 here); compare relative to
         # the peak so the tolerance is meaningful.
         scale = max(float(np.max(np.abs(ref))), 1.0 / DOMAIN.width)
         np.testing.assert_allclose(fast / scale, ref / scale, atol=ATOL)
 
-    def test_non_kernel_boundary_falls_back(self):
-        est = HybridEstimator(_random_sample(5), DOMAIN, boundary="reflection")
-        assert est._flat is None
-        a, b = _random_queries(17)
+
+class TestBinMasses:
+    @staticmethod
+    def _sparse_or_narrow(values: np.ndarray) -> float:
+        """Uniform fallback for sparse bins, narrow kernels elsewhere."""
+        if values.size < 300:
+            raise EstimatorError("too few samples for a kernel bin")
+        return float(np.ptp(values)) / 40.0
+
+    def test_flat_masses_match_oracle(self):
+        picky = HybridEstimator(
+            _random_sample(0), DOMAIN, bandwidth_rule=self._sparse_or_narrow
+        )
+        flat = picky._flat
+        # A uniform-fallback bin (mass exactly 1) and kernel bins too
+        # wide for the prefix-moment path; the default rule's bins all
+        # take that path.
+        assert not flat.is_kernel.all()
+        assert (flat.is_kernel & ~flat.use_moments).any()
+        default = HybridEstimator(_random_sample(0), DOMAIN)
+        assert default._flat.use_moments.all()
+        for est in (picky, default):
+            np.testing.assert_allclose(
+                bin_masses(est._flat), PerBinHybrid(est).masses, rtol=0, atol=ATOL
+            )
+        assert np.all(bin_masses(flat)[~flat.is_kernel] == 1.0)
+        a, b = _random_queries(19)
         np.testing.assert_allclose(
-            est.selectivities(a, b), est.selectivities_reference(a, b), atol=0
+            picky.selectivities(a, b),
+            PerBinHybrid(picky).selectivities(a, b),
+            atol=ATOL,
         )
 
 

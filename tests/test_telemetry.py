@@ -251,9 +251,10 @@ class TestEstimatorInstrumentation:
 
     def test_nested_estimators_count_once(self, sample):
         with telemetry.session() as t:
-            estimators.hybrid(sample, self.DOMAIN)
-        # The hybrid builds inner per-bin kernel estimators; only the
-        # outermost construction is an estimator.build event.
+            estimators.kernel(sample, self.DOMAIN)
+        # BoundaryKernelEstimator.__init__ runs the (also instrumented)
+        # KernelSelectivityEstimator.__init__; only the outermost
+        # construction is an estimator.build event.
         assert t.metrics.counter("estimator.build") == 1
         assert len(t.spans_by_name("estimator.build")) == 1
 

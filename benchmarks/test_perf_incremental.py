@@ -10,9 +10,7 @@ with a cap of 0.2 — the loaded/base ratio reads as "incremental must
 cost at most 20% of a rebuild").
 
 Both timed paths run against a fork of the same analyzed catalog, and
-the full rebuild passes a ``Generator`` seed so it can never hit the
-process-wide ANALYZE cache (a cached rebuild would be artificially
-free and poison the ratio).
+every full-rebuild round pays the whole O(table) ANALYZE rescan.
 """
 
 import numpy as np
@@ -65,8 +63,7 @@ def test_perf_refresh_full_rebuild(benchmark, mutated, perf_export):
 
     def rebuild_once():
         fork = catalog.fork()
-        # Generator seed: reproducible, but never statistics-cache
-        # keyed — every round pays the honest O(table) rescan.
+        # A fresh generator per round: every round draws the same sample.
         fork.analyze(table, seed=np.random.default_rng(3))
         return fork
 

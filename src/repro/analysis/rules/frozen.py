@@ -2,9 +2,9 @@
 
 The ROADMAP's serving tier swaps per-table estimator snapshots
 atomically so readers never block on ANALYZE — which is only safe if a
-built estimator never mutates.  The same property backs the
-fingerprint-keyed statistics cache (a cached estimator is shared across
-threads) and pickling round-trips.
+built estimator never mutates.  The same property backs
+``Catalog.fork`` (a fork shares its estimator objects with the
+snapshots already serving) and pickling round-trips.
 
 The rule flags assignments to ``self.*`` (plain, augmented, annotated,
 and tuple-unpacking targets) inside methods of estimator-hierarchy

@@ -28,13 +28,12 @@ from repro.core.base import (
     InvalidSampleError,
     SelectivityEstimator,
 )
-from repro.core.summary import ColumnSummary, FrozenSummary
+from repro.core.summary import ColumnSummary
 
 __all__ = [
     "ColumnSummary",
     "DensityEstimator",
     "EstimatorError",
-    "FrozenSummary",
     "InvalidQueryError",
     "InvalidSampleError",
     "SelectivityEstimator",

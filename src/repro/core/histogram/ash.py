@@ -12,8 +12,6 @@ The paper's final comparison (Fig. 12) runs the ASH with ten shifts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.core.base import (
@@ -22,9 +20,6 @@ from repro.core.base import (
     validate_query,
     validate_query_batch,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.summary import FrozenSummary
 from repro.core.histogram.equi_width import EquiWidthHistogram
 from repro.data.domain import Interval
 
@@ -83,17 +78,6 @@ class AverageShiftedHistogram(DensityEstimator):
             cdf += component._bulk_cdf(knots)
         self._cdf_knots = knots
         self._cdf_values = cdf / len(self._components)
-
-    @classmethod
-    def from_summary(
-        cls,
-        summary: "FrozenSummary",
-        bins: int,
-        *,
-        shifts: int = PAPER_SHIFTS,
-    ) -> "AverageShiftedHistogram":
-        """Build from a frozen column summary (see ``repro.core.summary``)."""
-        return cls(summary.sample, summary.domain, bins, shifts=shifts)
 
     @property
     def sample_size(self) -> int:

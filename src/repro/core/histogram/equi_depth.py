@@ -9,16 +9,11 @@ discrete domains.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.core.base import InvalidSampleError, validate_sample
 from repro.core.histogram.bins import PiecewiseConstantDensity
 from repro.data.domain import Interval
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.summary import FrozenSummary
 
 
 class EquiDepthHistogram(PiecewiseConstantDensity):
@@ -57,8 +52,3 @@ class EquiDepthHistogram(PiecewiseConstantDensity):
         # precisely the point mass of the duplicated value.
         counts = np.full(bins, values.size / bins, dtype=np.float64)
         super().__init__(edges, counts, values.size, domain)
-
-    @classmethod
-    def from_summary(cls, summary: "FrozenSummary", bins: int) -> "EquiDepthHistogram":
-        """Build from a frozen column summary (see ``repro.core.summary``)."""
-        return cls(summary.sample, bins, summary.domain)

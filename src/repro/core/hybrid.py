@@ -23,7 +23,7 @@ never as one estimator object per bin.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -44,9 +44,6 @@ from repro.core.hybrid_flat import (
     flat_selectivities,
 )
 from repro.data.domain import Interval
-
-if TYPE_CHECKING:
-    from repro.core.summary import FrozenSummary
 
 #: Bins with fewer samples than this cannot support a kernel estimate
 #: and fall back to the uniform-within-bin assumption.
@@ -126,11 +123,6 @@ class HybridEstimator(DensityEstimator):
             np.array([h is not None for h in bandwidths]),
             np.array([1.0 if h is None else h for h in bandwidths]),
         )
-
-    @classmethod
-    def from_summary(cls, summary: "FrozenSummary", **kwargs: object) -> "HybridEstimator":
-        """Build from a frozen column summary (see ``repro.core.summary``)."""
-        return cls(summary.sample, summary.domain, **kwargs)
 
     @staticmethod
     def _merge_small_bins(

@@ -31,12 +31,9 @@ for the corrected estimators.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.summary import FrozenSummary
 
 from repro.core.base import (
     DensityEstimator,
@@ -220,27 +217,6 @@ class KernelSelectivityEstimator(DensityEstimator):
             <= moments_mod.MOMENT_MAX_RATIO * self._h
         ):
             self._moments = moments_mod.build_moments(self._sorted)
-
-    @classmethod
-    def from_summary(
-        cls,
-        summary: "FrozenSummary",
-        bandwidth: float,
-        kernel: "KernelFunction | str" = EPANECHNIKOV,
-        *,
-        use_moments: bool = True,
-    ) -> "KernelSelectivityEstimator":
-        """Build from a frozen column summary (see ``repro.core.summary``).
-
-        The summary's expanded reservoir sample and declared domain
-        feed the ordinary constructor, so the estimator is exactly the
-        one a raw-array build over that sample would produce.  Works
-        for the boundary subclasses too (``cls`` dispatch).
-        """
-        return cls(
-            summary.sample, bandwidth, kernel=kernel, domain=summary.domain,
-            use_moments=use_moments,
-        )
 
     @property
     def sample_size(self) -> int:

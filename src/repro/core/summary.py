@@ -1,27 +1,20 @@
 """Mergeable, versioned column statistics for incremental ANALYZE.
 
-The paper's estimators are build-once: every insert or delete
-invalidates the whole model and the fingerprint-keyed statistics
-cache.  This module provides the mutable substrate that breaks that
-coupling.  A :class:`ColumnSummary` absorbs row batches in O(batch)
-(``update`` / ``delete``), combines with summaries built over disjoint
-partitions (``merge``), and at any point emits an immutable
-:class:`FrozenSummary` (``freeze``) from which every estimator family
-can be constructed — so the catalog refreshes statistics in O(delta)
-instead of re-scanning O(n) rows.
+The paper builds every estimator from one random sample of the column
+(§2, §5.1).  A :class:`ColumnSummary` keeps that sample live while the
+table mutates: it absorbs row batches in O(batch) (``update`` /
+``delete``), combines with summaries built over disjoint partitions
+(``merge``), and at any point emits the sorted sample every estimator
+family is built from (``freeze``) — so the catalog refreshes
+statistics in O(delta) instead of re-scanning O(n) rows.
 
-Three mergeable components are maintained per column:
-
-* a **distinct-value bottom-k reservoir** — the ``capacity`` distinct
-  values with the smallest deterministic seeded hash, each with an
-  exact multiplicity count.  Retention is a *global* condition (the
-  hash ranks against every distinct value ever seen, independent of
-  arrival order), which makes the reservoir exactly mergeable: for the
-  same seed, ``merge(update(A), update(B))`` is byte-identical to
-  ``update(A + B)`` in any split or merge order.
-* a **bin-count/CDF sketch** — equal-width counts over the declared
-  domain; merge is vector addition, delete is subtraction.
-* **moment accumulators** — live row count, sum and sum of squares.
+The sample is a **distinct-value bottom-k reservoir**: the
+``capacity`` distinct values with the smallest deterministic seeded
+hash, each with an exact multiplicity count.  Retention is a *global*
+condition (the hash ranks against every distinct value ever seen,
+independent of arrival order), which makes the reservoir exactly
+mergeable: for the same seed, ``merge(update(A), update(B))`` is
+byte-identical to ``update(A + B)`` in any split or merge order.
 
 Determinism comes from hashing, not an RNG: each value's priority is a
 splitmix64-style mix of its float64 bit pattern with the seed, so no
@@ -30,23 +23,19 @@ partitions (see DESIGN.md §seeding).  splitmix64's finalizer is a
 bijection on 64-bit words, so distinct values get distinct priorities
 and the bottom-k cut needs no tie-breaking.
 
-Deletions are exact for values still tracked by the reservoir;
-deletions of values that were evicted (only possible once the distinct
-count exceeded ``capacity``) degrade gracefully — they adjust the
-sketch and moments exactly and are tallied on the
-``summary.delete.unaccounted`` counter so dashboards can see when a
-summary's sample has drifted from the live multiset.
+Deletions are exact for values still tracked by the reservoir.
+Deletions of values that were evicted (only possible once the distinct
+count exceeded ``capacity``) cannot be applied to the sample: they
+still lower ``row_count``, and are tallied in ``unaccounted_deletes``
+and on the ``summary.delete.unaccounted`` counter so dashboards can
+see when a summary's sample has drifted from the live multiset.
 
-``freeze`` expands the reservoir back into a sorted sample array.  A
-one-shot summary whose capacity covers every distinct value reproduces
-the input multiset exactly, which is what keeps the raw-array
-estimator path bit-identical (see :meth:`FrozenSummary.from_sample`).
+``freeze`` expands the reservoir back into a sorted, read-only sample
+array.  A one-shot summary whose capacity covers every distinct value
+reproduces the input multiset exactly.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import zlib
 
 import numpy as np
 
@@ -56,17 +45,12 @@ from repro.telemetry.runtime import get_telemetry
 
 __all__ = [
     "ColumnSummary",
-    "FrozenSummary",
     "value_priorities",
     "DEFAULT_CAPACITY",
-    "DEFAULT_GRID_BINS",
 ]
 
 #: Default number of distinct values retained by the reservoir.
 DEFAULT_CAPACITY = 2048
-
-#: Default number of equal-width bins in the CDF sketch.
-DEFAULT_GRID_BINS = 256
 
 #: Expansion cap: ``freeze`` never materializes a sample larger than
 #: this multiple of the reservoir capacity (duplicate-heavy columns
@@ -100,96 +84,19 @@ def value_priorities(values: np.ndarray, seed: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(array)
-    if out is array:
-        out = array.copy()
-    out.flags.writeable = False
-    return out
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class FrozenSummary:
-    """Immutable estimator inputs produced by :meth:`ColumnSummary.freeze`.
-
-    Everything an estimator constructor needs — a sorted sample, the
-    declared domain, the live row count, the CDF sketch and the first
-    two moments — plus a content fingerprint for cache keys.  Frozen
-    summaries never change; refreshing statistics means freezing a new
-    one and swapping the reference (see ``repro.db.catalog``).
-    """
-
-    domain: Interval
-    sample: np.ndarray
-    row_count: int
-    grid_edges: np.ndarray
-    grid_counts: np.ndarray
-    total: float
-    total_sq: float
-    seed: int
-    version: int
-    fingerprint: str
-    unaccounted_deletes: int
-
-    @property
-    def mean(self) -> float:
-        """Mean of the live rows (exact, from the moment accumulators)."""
-        return self.total / self.row_count
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the live rows (exact)."""
-        mean = self.mean
-        return max(self.total_sq / self.row_count - mean * mean, 0.0)
-
-    @property
-    def grid_cdf(self) -> np.ndarray:
-        """Empirical CDF at the grid edges (length ``bins + 1``)."""
-        mass = float(self.grid_counts.sum())
-        if mass <= 0.0:
-            return np.zeros(self.grid_edges.size)
-        return np.concatenate(([0.0], np.cumsum(self.grid_counts) / mass))
-
-    @classmethod
-    def from_sample(
-        cls,
-        sample: np.ndarray,
-        domain: Interval,
-        *,
-        seed: int = 0,
-        grid_bins: int = DEFAULT_GRID_BINS,
-    ) -> "FrozenSummary":
-        """Thin adapter: wrap a raw sample array as a frozen summary.
-
-        The reservoir capacity is set to the sample size, so every
-        distinct value is retained and the frozen sample is the input
-        multiset, sorted — estimators built through this path are
-        bit-identical to the historical raw-array constructors.
-        """
-        values = validate_sample(sample, domain)
-        summary = ColumnSummary(
-            domain, seed=seed, capacity=max(int(values.size), 1), grid_bins=grid_bins
-        )
-        summary.update(values)
-        return summary.freeze()
-
-
 class ColumnSummary:
-    """Mutable, mergeable statistics over one metric column.
+    """Mutable, mergeable reservoir sample of one metric column.
 
     Parameters
     ----------
     domain:
         Declared attribute domain; all ingested values must lie inside
-        it (the grid sketch bins over it).
+        it.
     seed:
         Hash seed for the reservoir priorities.  Summaries can only be
-        merged when built with the same seed, capacity, grid and
-        domain.
+        merged when built with the same seed, capacity and domain.
     capacity:
         Maximum number of *distinct* values retained by the reservoir.
-    grid_bins:
-        Number of equal-width bins in the CDF sketch.
 
     Not thread-safe: callers (the catalog's refresh path) serialize
     mutations and publish frozen snapshots to readers.
@@ -201,21 +108,13 @@ class ColumnSummary:
         *,
         seed: int,
         capacity: int = DEFAULT_CAPACITY,
-        grid_bins: int = DEFAULT_GRID_BINS,
     ) -> None:
         if capacity < 1:
             raise InvalidSampleError(f"reservoir capacity must be >= 1, got {capacity}")
-        if grid_bins < 1:
-            raise InvalidSampleError(f"grid must have >= 1 bin, got {grid_bins}")
         self._domain = domain
         self._seed = int(seed)
         self._capacity = int(capacity)
-        self._grid_bins = int(grid_bins)
-        self._edges = np.linspace(domain.low, domain.high, self._grid_bins + 1)
-        self._grid = np.zeros(self._grid_bins, dtype=np.int64)
         self._count = 0
-        self._total = 0.0
-        self._total_sq = 0.0
         # Reservoir arrays, kept sorted by value and row-aligned.
         self._values = np.empty(0, dtype=np.float64)
         self._counts = np.empty(0, dtype=np.int64)
@@ -239,11 +138,6 @@ class ColumnSummary:
     def capacity(self) -> int:
         """Maximum distinct values retained."""
         return self._capacity
-
-    @property
-    def grid_bins(self) -> int:
-        """Number of sketch bins."""
-        return self._grid_bins
 
     @property
     def row_count(self) -> int:
@@ -270,7 +164,6 @@ class ColumnSummary:
         return (
             self._seed == other._seed
             and self._capacity == other._capacity
-            and self._grid_bins == other._grid_bins
             and self._domain == other._domain
         )
 
@@ -282,9 +175,6 @@ class ColumnSummary:
         if values.size == 0:
             return self
         self._count += int(values.size)
-        self._total += float(values.sum())
-        self._total_sq += float(np.square(values).sum())
-        self._grid += self._bincount(values)
         unique, counts = np.unique(values, return_counts=True)
         self._absorb(unique, counts.astype(np.int64))
         self._truncate()
@@ -297,21 +187,13 @@ class ColumnSummary:
 
         Values still tracked by the reservoir are decremented exactly.
         Values already evicted (possible only after the distinct count
-        exceeded capacity) adjust the sketch and moments but leave the
-        reservoir untouched; they are tallied as unaccounted so the
-        staleness policy can force a full rebuild.
+        exceeded capacity) lower the row count but leave the reservoir
+        untouched; they are tallied as unaccounted.
         """
         values = self._validate(batch)
         if values.size == 0:
             return self
-        removed = min(int(values.size), self._count)
-        self._count -= removed
-        self._total -= float(values.sum())
-        self._total_sq -= float(np.square(values).sum())
-        self._grid = np.maximum(self._grid - self._bincount(values), 0)
-        if self._count == 0:
-            self._total = 0.0
-            self._total_sq = 0.0
+        self._count -= min(int(values.size), self._count)
         unique, counts = np.unique(values, return_counts=True)
         position = np.searchsorted(self._values, unique)
         position = np.clip(position, 0, max(self._values.size - 1, 0))
@@ -343,25 +225,17 @@ class ColumnSummary:
     def merge(self, other: "ColumnSummary") -> "ColumnSummary":
         """Pure merge: a new summary equivalent to ingesting both inputs.
 
-        Both summaries must share seed, capacity, grid and domain.
-        Because retention is the global bottom-k-by-hash condition,
-        the result is byte-identical to a single summary that saw the
+        Both summaries must share seed, capacity and domain.  Because
+        retention is the global bottom-k-by-hash condition, the result
+        is byte-identical to a single summary that saw the
         concatenated input, in any split or merge order.
         """
         if not self.compatible_with(other):
             raise InvalidSampleError(
-                "cannot merge summaries with different seed/capacity/grid/domain"
+                "cannot merge summaries with different seed/capacity/domain"
             )
-        merged = ColumnSummary(
-            self._domain,
-            seed=self._seed,
-            capacity=self._capacity,
-            grid_bins=self._grid_bins,
-        )
+        merged = ColumnSummary(self._domain, seed=self._seed, capacity=self._capacity)
         merged._count = self._count + other._count
-        merged._total = self._total + other._total
-        merged._total_sq = self._total_sq + other._total_sq
-        merged._grid = self._grid + other._grid
         merged._unaccounted = self._unaccounted + other._unaccounted
         values = np.concatenate([self._values, other._values])
         counts = np.concatenate([self._counts, other._counts])
@@ -380,8 +254,8 @@ class ColumnSummary:
         merged._emit("summary.merge", 1)
         return merged
 
-    def freeze(self) -> FrozenSummary:
-        """Emit an immutable snapshot usable as estimator input."""
+    def freeze(self) -> np.ndarray:
+        """The reservoir as a sorted, read-only sample: the estimator input."""
         if self._count <= 0 or self._values.size == 0:
             raise InvalidSampleError("cannot freeze an empty summary")
         counts = self._counts
@@ -391,36 +265,14 @@ class ColumnSummary:
             scaled = np.floor(counts * (cap / total)).astype(np.int64)
             counts = np.maximum(scaled, 1)
         sample = np.repeat(self._values, counts)
-        digest = zlib.crc32(self._values.tobytes())
-        digest = zlib.crc32(self._counts.tobytes(), digest)
-        digest = zlib.crc32(self._grid.tobytes(), digest)
+        sample.flags.writeable = False
         self._emit("summary.freeze", 1)
-        return FrozenSummary(
-            domain=self._domain,
-            sample=_readonly(sample),
-            row_count=self._count,
-            grid_edges=_readonly(self._edges),
-            grid_counts=_readonly(self._grid),
-            total=self._total,
-            total_sq=self._total_sq,
-            seed=self._seed,
-            version=self._version,
-            fingerprint=f"{self._count}-{self._version}-{digest:08x}",
-            unaccounted_deletes=self._unaccounted,
-        )
+        return sample
 
     def copy(self) -> "ColumnSummary":
         """Independent deep copy (used to stage atomic refreshes)."""
-        out = ColumnSummary(
-            self._domain,
-            seed=self._seed,
-            capacity=self._capacity,
-            grid_bins=self._grid_bins,
-        )
-        out._grid = self._grid.copy()
+        out = ColumnSummary(self._domain, seed=self._seed, capacity=self._capacity)
         out._count = self._count
-        out._total = self._total
-        out._total_sq = self._total_sq
         out._values = self._values.copy()
         out._counts = self._counts.copy()
         out._prios = self._prios.copy()
@@ -437,11 +289,6 @@ class ColumnSummary:
         if values.size == 0:
             return values
         return validate_sample(values, self._domain)
-
-    def _bincount(self, values: np.ndarray) -> np.ndarray:
-        index = np.searchsorted(self._edges, values, side="right") - 1
-        index = np.clip(index, 0, self._grid_bins - 1)
-        return np.bincount(index, minlength=self._grid_bins).astype(np.int64)
 
     def _absorb(self, unique: np.ndarray, counts: np.ndarray) -> None:
         if self._values.size == 0:

@@ -1,12 +1,12 @@
 """Bounded, telemetry-instrumented caches for the database layer.
 
-A real system never rebuilds statistics it already holds: ANALYZE
-results are kept until the underlying data changes, and the serving
-tier memoizes hot plans per snapshot.  :class:`LRUCache` is the shared
-building block — a bounded least-recently-used map whose lookups surface as
-``cache.hit`` / ``cache.miss`` telemetry counters (plus per-cache
-``cache.hit.<name>`` segments, see docs/OBSERVABILITY.md) so traced
-runs show exactly how much rebuilding was avoided.
+The serving tier memoizes answered plans per snapshot, and the
+experiment harness memoizes its (relation, sample, queries) contexts.
+:class:`LRUCache` is the shared building block — a bounded
+least-recently-used map whose lookups surface as ``cache.hit`` /
+``cache.miss`` telemetry counters (plus per-cache ``cache.hit.<name>``
+segments, see docs/OBSERVABILITY.md) so traced runs show exactly how
+much rebuilding was avoided.
 
 Thread safety: all operations take an internal lock, so caches can be
 shared by the parallel experiment harness workers.
@@ -154,8 +154,7 @@ class LRUCache:
         """Drop every entry whose key satisfies ``predicate``.
 
         Returns the number of entries removed.  This is the explicit
-        invalidation hook: the catalog drops a table's statistics when
-        told the table's data changed.
+        invalidation hook: the serving tier drops a poisoned result.
         """
         with self._lock:
             doomed = [key for key in self._data if predicate(key)]

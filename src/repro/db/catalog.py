@@ -14,8 +14,8 @@ summaries (appends become partial summaries merged in, deletes are
 subtracted), re-freezes, and rebuilds the estimators from the frozen
 summaries — O(delta + reservoir) instead of the O(n) rescan — falling
 back to a full rebuild once the changed-row fraction exceeds the
-staleness budget, the delta log was compacted, deletions outran the
-reservoir, or joint statistics are involved.
+staleness budget, the delta log was compacted, deletions emptied a
+summary, or joint statistics are involved.
 :meth:`Catalog.maintain` drives the policy: the drift monitor's KS
 readings and the table's statistics-version lag decide which tables
 get refreshed, so only drifted tables pay for a rebuild.
@@ -29,8 +29,7 @@ import numpy as np
 
 from repro import estimators
 from repro.core.base import InvalidQueryError, InvalidSampleError, SelectivityEstimator
-from repro.core.summary import ColumnSummary, FrozenSummary
-from repro.db.cache import MISS, LRUCache
+from repro.core.summary import ColumnSummary
 from repro.db.table import StaleDeltaLog, Table
 from repro.multidim import KernelEstimator2D, plugin_bandwidths_2d
 from repro.telemetry.drift import DriftMonitor, DriftReading, Staleness, StalenessMonitor
@@ -49,24 +48,6 @@ FAMILIES = {
     ),
     "hybrid": estimators.hybrid,
 }
-
-#: Process-wide ANALYZE result cache shared by all catalogs.  Keys are
-#: ``(table name, table fingerprint, family, sample size, seed, kind,
-#: columns...)`` so a statistic is reused only for identical data *and*
-#: identical build parameters; a table whose data changed has a new
-#: fingerprint and misses naturally, while :meth:`Catalog.invalidate`
-#: evicts explicitly.
-_STATISTICS_CACHE = LRUCache(capacity=256, name="statistics")
-
-
-def _seed_cache_key(seed: "int | np.integer | np.random.Generator | None") -> "tuple | None":
-    """Hashable cache key for a sampling seed, or ``None`` if the seed
-    cannot key a cache (generator seeds advance private state between
-    draws, so reusing a cached build would change semantics)."""
-    if isinstance(seed, (int, np.integer)):
-        return ("int", int(seed))
-    return None
-
 
 class Catalog:
     """Per-table statistics built by ANALYZE.
@@ -115,9 +96,9 @@ class Catalog:
         self._analyze_seeds: dict[str, "int | None"] = {}
         self._joint_specs: dict[str, "list[tuple[str, str]]"] = {}
         # Serving-grade monitors: every ANALYZE stamps the staleness
-        # monitor and (when it actually drew a sample) baselines the
-        # drift monitor, so a long-lived catalog can report how old and
-        # how wrong its statistics have become.
+        # monitor and baselines the drift monitor on its sample, so a
+        # long-lived catalog can report how old and how wrong its
+        # statistics have become.
         self.drift = DriftMonitor()
         self.staleness = StalenessMonitor()
 
@@ -157,9 +138,8 @@ class Catalog:
             Column pairs to additionally cover with joint 2-D kernel
             statistics (for correlated attributes).
         seed:
-            Sampling seed: an integer (cacheable) or a ready
-            ``np.random.Generator`` (bypasses the statistics cache).
-            Required — ``None`` raises
+            Sampling seed: an integer or a ready
+            ``np.random.Generator``.  Required — ``None`` raises
             :class:`~repro.core.base.MissingSeedError` when the scan
             draws its sample, so every ANALYZE is reproducible.
 
@@ -171,51 +151,22 @@ class Catalog:
         catalog exactly as it was.
         """
         n = min(self._sample_size, table.row_count)
-        seed_key = _seed_cache_key(seed)
-        key_base = (
-            (table.name, table.fingerprint, self._family, n, seed_key)
-            if seed_key is not None
-            else None
-        )
-        rows: "dict[str, np.ndarray] | None" = None
-
-        def sampled() -> "dict[str, np.ndarray]":
-            # One row-aligned sample shared by every statistic this
-            # ANALYZE actually has to build.
-            nonlocal rows
-            if rows is None:
-                rows = table.sample_rows(n, seed=seed)
-            return rows
-
+        # One row-aligned sample shared by every statistic.
+        rows = table.sample_rows(n, seed=seed)
         build = FAMILIES[self._family]
-        new_columns: dict[tuple[str, str], SelectivityEstimator] = {}
+        new_columns: dict[tuple[str, str], SelectivityEstimator] = {
+            (table.name, column): build(rows[column], table.domain(column))
+            for column in table.column_names
+        }
         new_joints: dict[tuple[str, str, str], KernelEstimator2D] = {}
-        for column in table.column_names:
-            statistic = MISS
-            key = key_base + ("column", column) if key_base else None
-            if key is not None:
-                statistic = _STATISTICS_CACHE.get(key)
-            if statistic is MISS:
-                statistic = build(sampled()[column], table.domain(column))
-                if key is not None:
-                    _STATISTICS_CACHE.put(key, statistic)
-            new_columns[(table.name, column)] = statistic
         for x, y in joint or []:
-            statistic = MISS
-            key = key_base + ("joint", x, y) if key_base else None
-            if key is not None:
-                statistic = _STATISTICS_CACHE.get(key)
-            if statistic is MISS:
-                sample = np.column_stack([sampled()[x], sampled()[y]])
-                statistic = KernelEstimator2D(
-                    sample,
-                    bandwidths=plugin_bandwidths_2d(sample),
-                    domain_x=table.domain(x),
-                    domain_y=table.domain(y),
-                )
-                if key is not None:
-                    _STATISTICS_CACHE.put(key, statistic)
-            new_joints[(table.name, x, y)] = statistic
+            sample = np.column_stack([rows[x], rows[y]])
+            new_joints[(table.name, x, y)] = KernelEstimator2D(
+                sample,
+                bandwidths=plugin_bandwidths_2d(sample),
+                domain_x=table.domain(x),
+                domain_y=table.domain(y),
+            )
         # Delta-aware substrate: rebuild the live mergeable summaries
         # from the full columns (one vectorized O(n) pass each) so
         # subsequent mutations can be folded in incrementally by
@@ -261,13 +212,8 @@ class Catalog:
         self._version += 1
         self.staleness.on_analyze(table.name, self._version)
         self._emit_version_gauge(table.name, table_version)
-        # Drift baselines come from the sample this ANALYZE actually
-        # drew.  A full statistics-cache hit never touches the table
-        # (rows stays None); the existing baselines remain valid in
-        # that case because the cache key includes the data fingerprint.
-        if rows is not None:
-            for column in table.column_names:
-                self.drift.set_baseline(table.name, column, rows[column])
+        for column in table.column_names:
+            self.drift.set_baseline(table.name, column, rows[column])
 
     @property
     def version(self) -> int:
@@ -296,7 +242,7 @@ class Catalog:
         ``"full"``
             Fallback to a complete :meth:`analyze` rescan: first-ever
             refresh, compacted delta log, changed-row fraction beyond
-            the staleness budget, deletions that outran the reservoir,
+            the staleness budget, deletions that emptied a summary,
             or declared joint statistics (which need row-aligned pairs
             a per-column summary cannot provide).
 
@@ -329,7 +275,7 @@ class Catalog:
         build = FAMILIES[self._family]
         staged: dict[tuple[str, str], ColumnSummary] = {}
         rebuilt: dict[tuple[str, str], SelectivityEstimator] = {}
-        frozen_by_column: dict[str, FrozenSummary] = {}
+        frozen_by_column: dict[str, np.ndarray] = {}
         try:
             for column in table.column_names:
                 live = self._summaries.get((name, column))
@@ -340,10 +286,7 @@ class Catalog:
                     batch = delta.rows[column]
                     if delta.kind == "append":
                         partial = ColumnSummary(
-                            working.domain,
-                            seed=working.seed,
-                            capacity=working.capacity,
-                            grid_bins=working.grid_bins,
+                            working.domain, seed=working.seed, capacity=working.capacity
                         )
                         partial.update(batch)
                         working = working.merge(partial)
@@ -368,7 +311,7 @@ class Catalog:
         # statistics now represent the mutated data, so KS must be
         # measured against them, not the superseded ANALYZE sample.
         for column, frozen in frozen_by_column.items():
-            self.drift.set_baseline(name, column, frozen.sample)
+            self.drift.set_baseline(name, column, frozen)
         self._emit_refresh("incremental")
         self._emit_version_gauge(name, table.statistics_version)
         return "incremental"
@@ -466,13 +409,9 @@ class Catalog:
     def invalidate(self, table_name: str) -> None:
         """Drop all statistics for a table (explicit data-change hook).
 
-        Removes the catalog's own statistics *and* evicts the table's
-        entries from the shared ANALYZE cache, so a subsequent
-        ``analyze`` rebuilds from scratch even if the replacement data
-        happens to collide on name and sample parameters.  Emits the
-        ``cache.invalidate`` counter (plus the per-cache
-        ``cache.invalidate.statistics`` segment) so eviction traffic
-        is visible next to the hit/miss series.
+        Removes the table's estimators, summaries and row count and
+        bumps :attr:`version`; a subsequent ``analyze`` rebuilds from
+        scratch.
         """
         # Same reference-swap discipline as analyze(): concurrent
         # readers see the table's statistics all present or all gone.
@@ -491,11 +430,6 @@ class Catalog:
         self._applied = {
             name: version for name, version in self._applied.items() if name != table_name
         }
-        _STATISTICS_CACHE.evict(lambda key: key[0] == table_name)
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.inc("cache.invalidate")
-            telemetry.metrics.inc(f"cache.invalidate.{_STATISTICS_CACHE.name}")
         self._version += 1
         self.staleness.forget(table_name)
 

@@ -19,7 +19,6 @@ statistics in O(delta) instead of rescanning O(n) rows.
 from __future__ import annotations
 
 import dataclasses
-import zlib
 
 import numpy as np
 
@@ -110,7 +109,6 @@ class Table:
             self._domains[column] = domain
         self._data = data
         self._rows = int(length)
-        self._fingerprint: str | None = None
         # Mutation provenance: a monotone statistics version plus a
         # bounded log of per-column deltas (see module docstring).
         self._stats_version = 0
@@ -121,24 +119,6 @@ class Table:
     def name(self) -> str:
         """Table name."""
         return self._name
-
-    @property
-    def fingerprint(self) -> str:
-        """Content digest of the table data (column names + values).
-
-        Computed lazily and cached until the next mutation.  The
-        statistics cache keys on it: appending or deleting rows (or
-        replacing a table's data under the same name) yields a new
-        fingerprint, which is what invalidates previously cached
-        ANALYZE results.
-        """
-        if self._fingerprint is None:
-            digest = 0
-            for column, values in self._data.items():
-                digest = zlib.crc32(column.encode(), digest)
-                digest = zlib.crc32(np.ascontiguousarray(values).tobytes(), digest)
-            self._fingerprint = f"{self._rows}-{digest:08x}"
-        return self._fingerprint
 
     @property
     def statistics_version(self) -> int:
@@ -177,9 +157,9 @@ class Table:
 
         All declared columns must be present, the arrays equal-length,
         finite, and inside their domains.  The column arrays are
-        rebuilt and installed with one reference swap, the cached
-        fingerprint is invalidated, the statistics version is bumped
-        and the delta is recorded for :meth:`deltas_since`.
+        rebuilt and installed with one reference swap, the statistics
+        version is bumped and the delta is recorded for
+        :meth:`deltas_since`.
         """
         fresh = self._validate_mutation(rows)
         data = {
@@ -272,7 +252,6 @@ class Table:
     ) -> int:
         self._data = data
         self._rows = int(next(iter(data.values())).size)
-        self._fingerprint = None
         self._stats_version += 1
         self._deltas.append(TableDelta(self._stats_version, kind, affected))
         if len(self._deltas) > MAX_DELTA_LOG:

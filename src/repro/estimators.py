@@ -11,15 +11,6 @@ estimator from just a sample and a domain::
 
 String smoothing parameters select a rule (``"normal-scale"`` or
 ``"plug-in"``); numbers are used verbatim.
-
-Every factory also accepts a :class:`repro.core.summary.FrozenSummary`
-in place of the raw sample array (the domain then defaults to the
-summary's declared domain), and :func:`from_summary` builds any family
-by name from a frozen summary — the incremental-ANALYZE path in
-``repro.db.catalog`` goes through it.  The raw-array path is the thin
-adapter: lifting an array with
-:meth:`~repro.core.summary.FrozenSummary.from_sample` and building
-from the result is bit-identical to passing the array directly.
 """
 
 from __future__ import annotations
@@ -44,32 +35,17 @@ from repro.core.hybrid import HybridEstimator
 from repro.core.kernel import make_kernel_estimator
 from repro.core.kernel.functions import EPANECHNIKOV, KernelFunction
 from repro.core.sampling import SamplingEstimator
-from repro.core.summary import FrozenSummary
 from repro.data.domain import Interval
 
 #: Rules accepted wherever a smoothing parameter may be a string.
 RULES = ("normal-scale", "plug-in")
 
 
-def _coerce(
-    sample: "np.ndarray | FrozenSummary",
-    domain: Interval | None,
-    *,
-    require_domain: bool = True,
-) -> "tuple[np.ndarray, Interval | None]":
-    """Unwrap a frozen summary into (sample, domain).
-
-    Raw arrays pass through untouched; a :class:`FrozenSummary`
-    contributes its expanded reservoir sample and, when the caller
-    didn't pass one, its declared domain.
-    """
-    if isinstance(sample, FrozenSummary):
-        return sample.sample, (domain if domain is not None else sample.domain)
-    if require_domain and domain is None:
-        raise InvalidSampleError(
-            "a domain is required when building from a raw sample array"
-        )
-    return sample, domain
+def _require_domain(domain: Interval | None) -> Interval:
+    """The declared domain, which every histogram and the hybrid need."""
+    if domain is None:
+        raise InvalidSampleError("a domain is required to build this estimator")
+    return domain
 
 
 def _resolve_bins(bins: "int | str", sample: np.ndarray, domain: Interval) -> int:
@@ -102,10 +78,9 @@ def _resolve_bandwidth(
 
 
 def sampling(
-    sample: "np.ndarray | FrozenSummary", domain: Interval | None = None
+    sample: np.ndarray, domain: Interval | None = None
 ) -> SamplingEstimator:
     """Pure sampling estimator."""
-    sample, domain = _coerce(sample, domain, require_domain=False)
     return SamplingEstimator(sample, domain)
 
 
@@ -115,17 +90,17 @@ def uniform(domain: Interval) -> UniformEstimator:
 
 
 def equi_width(
-    sample: "np.ndarray | FrozenSummary",
+    sample: np.ndarray,
     domain: Interval | None = None,
     bins: "int | str" = "normal-scale",
 ) -> EquiWidthHistogram:
     """Equi-width histogram; ``bins`` may be a count or a rule name."""
-    sample, domain = _coerce(sample, domain)
+    domain = _require_domain(domain)
     return EquiWidthHistogram(sample, domain, _resolve_bins(bins, sample, domain))
 
 
 def equi_depth(
-    sample: "np.ndarray | FrozenSummary",
+    sample: np.ndarray,
     domain: Interval | None = None,
     bins: "int | str" = "normal-scale",
 ) -> EquiDepthHistogram:
@@ -135,65 +110,65 @@ def equi_depth(
     observes the equi-width rules carry over reasonably (§5.2.4), so
     the same rules are accepted here.
     """
-    sample, domain = _coerce(sample, domain)
+    domain = _require_domain(domain)
     return EquiDepthHistogram(sample, _resolve_bins(bins, sample, domain), domain)
 
 
 def max_diff(
-    sample: "np.ndarray | FrozenSummary",
+    sample: np.ndarray,
     domain: Interval | None = None,
     bins: "int | str" = "normal-scale",
 ) -> MaxDiffHistogram:
     """Max-diff histogram (same bin-count convention as equi-depth)."""
-    sample, domain = _coerce(sample, domain)
+    domain = _require_domain(domain)
     return MaxDiffHistogram(sample, _resolve_bins(bins, sample, domain), domain)
 
 
 def ash(
-    sample: "np.ndarray | FrozenSummary",
+    sample: np.ndarray,
     domain: Interval | None = None,
     bins: "int | str" = "normal-scale",
     shifts: int = 10,
 ) -> AverageShiftedHistogram:
     """Average shifted histogram (ten shifts, as in the paper)."""
-    sample, domain = _coerce(sample, domain)
+    domain = _require_domain(domain)
     return AverageShiftedHistogram(
         sample, domain, _resolve_bins(bins, sample, domain), shifts=shifts
     )
 
 
 def v_optimal(
-    sample: "np.ndarray | FrozenSummary",
+    sample: np.ndarray,
     domain: Interval | None = None,
     bins: "int | str" = "normal-scale",
 ) -> VOptimalHistogram:
     """V-optimal histogram (SSE-minimizing boundaries, refs [2]/[7])."""
-    sample, domain = _coerce(sample, domain)
+    domain = _require_domain(domain)
     return VOptimalHistogram(sample, domain, _resolve_bins(bins, sample, domain))
 
 
 def wavelet(
-    sample: "np.ndarray | FrozenSummary",
+    sample: np.ndarray,
     domain: Interval | None = None,
     coefficients: int = 32,
 ) -> WaveletHistogram:
     """Haar-wavelet compressed estimator (ref [4])."""
-    sample, domain = _coerce(sample, domain)
+    domain = _require_domain(domain)
     return WaveletHistogram(sample, domain, coefficients)
 
 
 def end_biased(
-    sample: "np.ndarray | FrozenSummary",
+    sample: np.ndarray,
     domain: Interval | None = None,
     top: int = 16,
 ) -> EndBiasedHistogram:
     """End-biased histogram: exact top-``top`` values + uniform rest."""
-    sample, domain = _coerce(sample, domain)
+    domain = _require_domain(domain)
     return EndBiasedHistogram(sample, domain, top)
 
 
 def kernel(
-    sample: "np.ndarray | FrozenSummary",
+    sample: np.ndarray,
     domain: Interval | None = None,
     bandwidth: "float | str" = "normal-scale",
     *,
@@ -206,7 +181,6 @@ def kernel(
     domain is available and to no treatment otherwise.  Bandwidths are
     clamped so the two boundary regions never overlap.
     """
-    sample, domain = _coerce(sample, domain, require_domain=False)
     if boundary is None:
         boundary = "kernel" if domain is not None else "none"
     h = _resolve_bandwidth(bandwidth, sample, domain, kernel_function)
@@ -218,12 +192,12 @@ def kernel(
 
 
 def hybrid(
-    sample: "np.ndarray | FrozenSummary",
+    sample: np.ndarray,
     domain: Interval | None = None,
     **kwargs: object,
 ) -> HybridEstimator:
     """The paper's hybrid histogram-kernel estimator."""
-    sample, domain = _coerce(sample, domain)
+    domain = _require_domain(domain)
     return HybridEstimator(sample, domain, **kwargs)
 
 
@@ -235,35 +209,3 @@ PAPER_LINEUP = {
     "Hybrid": hybrid,
     "ASH": ash,
 }
-
-#: Families buildable from a frozen summary, by catalog family name.
-SUMMARY_FAMILIES = {
-    "uniform": lambda summary, **kw: uniform(summary.domain),
-    "sampling": sampling,
-    "equi-width": equi_width,
-    "equi-depth": equi_depth,
-    "max-diff": max_diff,
-    "ash": ash,
-    "v-optimal": v_optimal,
-    "wavelet": wavelet,
-    "end-biased": end_biased,
-    "kernel": kernel,
-    "hybrid": hybrid,
-}
-
-
-def from_summary(
-    family: str, summary: FrozenSummary, **kwargs: object
-) -> SelectivityEstimator:
-    """Build any named estimator family from a frozen column summary.
-
-    The incremental-ANALYZE path (``repro.db.catalog``) rebuilds
-    estimators through this entry after merging delta summaries, so a
-    refresh costs O(reservoir) instead of O(table).
-    """
-    if family not in SUMMARY_FAMILIES:
-        raise InvalidSampleError(
-            f"unknown estimator family {family!r}; "
-            f"available: {', '.join(SUMMARY_FAMILIES)}"
-        )
-    return SUMMARY_FAMILIES[family](summary, **kwargs)

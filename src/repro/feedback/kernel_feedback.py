@@ -215,8 +215,8 @@ class FeedbackKernelEstimator(DensityEstimator):
         estimate = self.selectivity(a, b)
         error = true_selectivity - estimate
         # This estimator is *explicitly* adaptive: observe() is its whole
-        # point, callers own one instance per workload, and it is never
-        # served from the shared statistics cache.
+        # point, callers own one instance per workload, and no catalog
+        # or serving snapshot ever shares it.
         self._updates += 1  # repro: allow[frozen-after-build] — adaptive by design; not cache-shared
         if estimate <= 0.0 and true_selectivity <= 0.0:
             self._record_feedback_telemetry(estimate, true_selectivity)

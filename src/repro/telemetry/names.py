@@ -103,11 +103,9 @@ REGISTERED_PREFIXES: frozenset[str] = frozenset(
         "estimator.bins",
         # per-cell harness timings
         "harness.cell.seconds",
-        # cache verbs + per-cache-name tallies (repro.db.cache,
-        # Catalog.invalidate)
+        # cache verbs + per-cache-name tallies (repro.db.cache)
         "cache.hit",
         "cache.miss",
-        "cache.invalidate",
         # per-table statistics-version gauges (repro.db.catalog)
         "catalog.statistics_version",
         # per-correction-model gauges (repro.online.learning)

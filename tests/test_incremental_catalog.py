@@ -176,14 +176,13 @@ class TestCatalogRefresh:
         # The full rebuild reset the budget against the new base.
         assert catalog.refresh(table) == "incremental"
 
-    def test_invalidate_emits_counters_and_drops_statistics(self):
+    def test_invalidate_drops_statistics_bumps_version(self):
         table = _table()
         catalog = Catalog(family="equi-depth", sample_size=500)
         catalog.analyze(table, seed=3)
-        with telemetry.session() as session:
-            catalog.invalidate("metrics")
-            assert session.metrics.counter("cache.invalidate") == 1
-            assert session.metrics.counter("cache.invalidate.statistics") == 1
+        version = catalog.version
+        catalog.invalidate("metrics")
+        assert catalog.version == version + 1
         assert not catalog.has_statistics("metrics")
         with pytest.raises(InvalidQueryError):
             catalog.column_statistic("metrics", "x")
@@ -234,6 +233,19 @@ class TestMaintain:
             assert modes["stable"] == "fresh"
             assert modes["drifting"] in {"incremental", "full"}
             assert session.metrics.counter("catalog.refresh.drift") == 1
+
+    def test_drift_rescan_settles_the_alarm(self):
+        table = _table()
+        catalog = Catalog(family="equi-depth", sample_size=1_000)
+        catalog.analyze(table, seed=3)
+        # The table is unchanged but the observed values drifted, so
+        # maintain rescans at the same statistics version.
+        catalog.observe_values("metrics", "x", _drift_batch(seed=13, rows=512))
+        assert catalog.maintain([table]) == {"metrics": "full"}
+        # The rescan re-baselined the monitor: one rebuild settles the
+        # alarm instead of re-firing on every later maintain.
+        assert catalog.drift.reading("metrics", "x") is None
+        assert catalog.maintain([table]) == {"metrics": "fresh"}
 
 
 class TestRefreshAccuracy:

@@ -190,8 +190,7 @@ class TestCatalogAndPlannerWiring:
         domain = Interval(0.0, 1_000.0)
         table = Table("points", {"x": (rng.uniform(0, 1_000, 2_000), domain)})
         catalog = Catalog(sample_size=400)
-        # Generator seed bypasses the process-global statistics cache, so
-        # every fresh per-test catalog draws a sample and seeds baselines.
+        # ANALYZE draws its sample and seeds the drift baselines from it.
         catalog.analyze(table, seed=np.random.default_rng(1))
         return catalog, Planner(catalog), table, RangePredicate
 

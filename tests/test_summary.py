@@ -6,7 +6,7 @@ fixed seed, ``merge(update(A), update(B))`` is *byte-identical* to
 bottom-k-by-hash condition, not an arrival-order artifact.  These
 tests pin that claim exactly (``tobytes()`` equality, not allclose),
 plus the graceful-degradation contract for deletions beyond reservoir
-capacity and the bit-identity of the raw-array adapter.
+capacity and that a full-capacity summary freezes to its sorted input.
 """
 
 import numpy as np
@@ -14,13 +14,7 @@ import pytest
 
 from repro import estimators, telemetry
 from repro.core.base import InvalidSampleError
-from repro.core.summary import (
-    DEFAULT_GRID_BINS,
-    EXPANSION_FACTOR,
-    ColumnSummary,
-    FrozenSummary,
-    value_priorities,
-)
+from repro.core.summary import EXPANSION_FACTOR, ColumnSummary, value_priorities
 from repro.data.domain import Interval
 
 DOMAIN = Interval(0.0, 100.0)
@@ -31,27 +25,12 @@ def _values(seed, n, *, lo=0.0, hi=100.0):
     return rng.uniform(lo, hi, n)
 
 
-def _frozen_bytes(frozen):
-    """The exactly-mergeable parts of freeze(), as one comparable tuple.
+def _frozen_bytes(summary):
+    """The frozen sample and the live counters, as one comparable tuple.
 
-    The reservoir sample, the integer grid sketch and the counts are
-    byte-identical across split/merge orders.  The float moment
-    accumulators are *sums*, so they commute only up to float addition
-    order — they get a separate ulp-tolerance check (the documented
-    tolerance for reservoir-backed kernel inputs).
+    All of it is byte-identical across split/merge orders.
     """
-    return (
-        frozen.sample.tobytes(),
-        frozen.grid_counts.tobytes(),
-        frozen.row_count,
-        frozen.unaccounted_deletes,
-    )
-
-
-def _assert_equivalent(actual, expected):
-    assert _frozen_bytes(actual) == _frozen_bytes(expected)
-    assert actual.total == pytest.approx(expected.total, rel=1e-12)
-    assert actual.total_sq == pytest.approx(expected.total_sq, rel=1e-12)
+    return (summary.freeze().tobytes(), summary.row_count, summary.unaccounted_deletes)
 
 
 class TestPriorities:
@@ -83,11 +62,9 @@ class TestMergeAlgebra:
         one_shot = ColumnSummary(DOMAIN, seed=seed, capacity=256).update(data)
         left = ColumnSummary(DOMAIN, seed=seed, capacity=256).update(data[:split])
         right = ColumnSummary(DOMAIN, seed=seed, capacity=256).update(data[split:])
-        ab = left.merge(right)
-        ba = right.merge(left)
-        expected = one_shot.freeze()
-        _assert_equivalent(ab.freeze(), expected)
-        _assert_equivalent(ba.freeze(), expected)
+        expected = _frozen_bytes(one_shot)
+        assert _frozen_bytes(left.merge(right)) == expected
+        assert _frozen_bytes(right.merge(left)) == expected
 
     def test_three_way_merge_any_association(self):
         data = _values(3, 6_000)
@@ -100,10 +77,10 @@ class TestMergeAlgebra:
         left_first = parts[0].merge(parts[1]).merge(parts[2])
         right_first = parts[0].merge(parts[1].merge(parts[2]))
         reversed_order = parts[2].merge(parts[0]).merge(parts[1])
-        expected = one_shot.freeze()
-        _assert_equivalent(left_first.freeze(), expected)
-        _assert_equivalent(right_first.freeze(), expected)
-        _assert_equivalent(reversed_order.freeze(), expected)
+        expected = _frozen_bytes(one_shot)
+        assert _frozen_bytes(left_first) == expected
+        assert _frozen_bytes(right_first) == expected
+        assert _frozen_bytes(reversed_order) == expected
 
     def test_sequential_updates_equal_one_shot(self):
         data = _values(4, 5_200)
@@ -111,21 +88,20 @@ class TestMergeAlgebra:
         for chunk in np.array_split(data, 13):
             chunked.update(chunk)
         one_shot = ColumnSummary(DOMAIN, seed=9, capacity=200).update(data)
-        _assert_equivalent(chunked.freeze(), one_shot.freeze())
+        assert _frozen_bytes(chunked) == _frozen_bytes(one_shot)
 
     def test_merge_is_pure(self):
         left = ColumnSummary(DOMAIN, seed=1, capacity=64).update(_values(5, 300))
         right = ColumnSummary(DOMAIN, seed=1, capacity=64).update(_values(6, 300))
-        before = (_frozen_bytes(left.freeze()), _frozen_bytes(right.freeze()))
+        before = (_frozen_bytes(left), _frozen_bytes(right))
         left.merge(right)
-        assert (_frozen_bytes(left.freeze()), _frozen_bytes(right.freeze())) == before
+        assert (_frozen_bytes(left), _frozen_bytes(right)) == before
 
     def test_incompatible_summaries_refuse_to_merge(self):
         base = ColumnSummary(DOMAIN, seed=1, capacity=64).update(_values(7, 50))
         for other in (
             ColumnSummary(DOMAIN, seed=2, capacity=64),
             ColumnSummary(DOMAIN, seed=1, capacity=65),
-            ColumnSummary(DOMAIN, seed=1, capacity=64, grid_bins=32),
             ColumnSummary(Interval(0.0, 50.0), seed=1, capacity=64),
         ):
             other.update(_values(8, 50, hi=50.0))
@@ -145,10 +121,9 @@ class TestDeletions:
         data = _values(20, 800)
         summary = ColumnSummary(DOMAIN, seed=0, capacity=1_000).update(data)
         summary.delete(data[:300])
-        frozen = summary.freeze()
-        assert frozen.unaccounted_deletes == 0
-        assert frozen.row_count == 500
-        assert np.array_equal(frozen.sample, np.sort(data[300:]))
+        assert summary.unaccounted_deletes == 0
+        assert summary.row_count == 500
+        assert np.array_equal(summary.freeze(), np.sort(data[300:]))
 
     def test_evicted_deletes_degrade_gracefully(self):
         data = _values(21, 6_000)
@@ -156,9 +131,8 @@ class TestDeletions:
         summary.delete(data[:5_000])
         assert summary.row_count == 1_000
         assert summary.unaccounted_deletes > 0
-        frozen = summary.freeze()  # still freezable: sketch + moments survive
-        assert frozen.row_count == 1_000
-        assert frozen.unaccounted_deletes == summary.unaccounted_deletes
+        # Still freezable, and every value left in the sample is live.
+        assert np.all(np.isin(summary.freeze(), data[5_000:]))
 
     def test_delete_of_never_inserted_value_counts_unaccounted(self):
         summary = ColumnSummary(DOMAIN, seed=0, capacity=16).update(
@@ -167,49 +141,27 @@ class TestDeletions:
         summary.delete(np.array([50.0]))
         assert summary.unaccounted_deletes == 1
 
-    def test_moments_track_deletes(self):
-        data = _values(22, 400)
-        summary = ColumnSummary(DOMAIN, seed=0, capacity=500).update(data)
-        summary.delete(data[:100])
-        frozen = summary.freeze()
-        remaining = data[100:]
-        assert frozen.mean == pytest.approx(remaining.mean())
-        assert frozen.variance == pytest.approx(remaining.var(), rel=1e-9)
-
 
 class TestFreeze:
-    def test_from_sample_adapter_is_bit_identical(self):
+    def test_full_capacity_summary_freezes_to_sorted_input(self):
         data = _values(30, 1_234)
-        frozen = FrozenSummary.from_sample(data, DOMAIN, seed=3)
-        assert frozen.sample.tobytes() == np.sort(data).tobytes()
-        assert frozen.row_count == data.size
-        assert not frozen.sample.flags.writeable
+        summary = ColumnSummary(DOMAIN, seed=3, capacity=data.size).update(data)
+        sample = summary.freeze()
+        assert sample.tobytes() == np.sort(data).tobytes()
+        assert summary.row_count == data.size
+        assert not sample.flags.writeable
 
     def test_expansion_cap_on_duplicate_heavy_data(self):
         rng = np.random.default_rng(31)
         # 50 distinct values, 100k rows: naive expansion would be O(n).
         data = rng.choice(np.linspace(1.0, 99.0, 50), size=100_000)
         summary = ColumnSummary(DOMAIN, seed=0, capacity=64).update(data)
-        frozen = summary.freeze()
-        assert frozen.row_count == 100_000
-        assert frozen.sample.size <= summary.capacity * (EXPANSION_FACTOR + 1)
+        assert summary.row_count == 100_000
+        assert summary.freeze().size <= summary.capacity * (EXPANSION_FACTOR + 1)
 
     def test_empty_summary_refuses_to_freeze(self):
         with pytest.raises(InvalidSampleError):
             ColumnSummary(DOMAIN, seed=0).freeze()
-
-    def test_grid_cdf_is_a_cdf(self):
-        frozen = FrozenSummary.from_sample(_values(32, 2_000), DOMAIN)
-        cdf = frozen.grid_cdf
-        assert cdf.size == DEFAULT_GRID_BINS + 1
-        assert cdf[0] == 0.0 and cdf[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(cdf) >= 0)
-
-    def test_fingerprint_tracks_content(self):
-        summary = ColumnSummary(DOMAIN, seed=0, capacity=128).update(_values(33, 500))
-        first = summary.freeze().fingerprint
-        summary.update(np.array([42.0]))
-        assert summary.freeze().fingerprint != first
 
     def test_copy_is_independent(self):
         summary = ColumnSummary(DOMAIN, seed=0, capacity=128).update(_values(34, 500))
@@ -221,27 +173,7 @@ class TestFreeze:
 
 
 class TestEstimatorsFromSummary:
-    """Full-capacity summaries rebuild every family bit-identically."""
-
-    @pytest.mark.parametrize(
-        "family", ["kernel", "hybrid", "equi-depth", "equi-width", "ash", "sampling"]
-    )
-    def test_family_matches_raw_array_path(self, family):
-        data = _values(40, 1_500)
-        frozen = FrozenSummary.from_sample(data, DOMAIN)
-        factory = getattr(estimators, family.replace("-", "_"))
-        via_summary = estimators.from_summary(family, frozen)
-        via_raw = factory(data, DOMAIN)
-        a = np.linspace(5.0, 80.0, 40)
-        b = a + 12.5
-        assert np.array_equal(
-            via_summary.selectivities(a, b), via_raw.selectivities(a, b)
-        )
-
-    def test_uniform_needs_only_the_domain(self):
-        frozen = FrozenSummary.from_sample(_values(41, 100), DOMAIN)
-        est = estimators.from_summary("uniform", frozen)
-        assert est.selectivity(0.0, 50.0) == pytest.approx(0.5)
+    """Estimators build from the frozen sample plus the column's domain."""
 
     def test_raw_sample_without_domain_is_rejected(self):
         with pytest.raises(InvalidSampleError):

@@ -10,12 +10,15 @@ with a cap of 0.2 — the loaded/base ratio reads as "incremental must
 cost at most 20% of a rebuild").
 
 Both timed paths run against a fork of the same analyzed catalog, and
-every full-rebuild round pays the whole O(table) ANALYZE rescan.
+every full-rebuild round pays the whole O(table) ANALYZE rescan.  The
+scan's own layer, one ``ColumnSummary.update`` over the analyzed
+column, is timed on its own as ``perf_refresh.summary_update``.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.summary import ColumnSummary
 from repro.data.domain import Interval
 from repro.db import Catalog, Table
 
@@ -70,6 +73,20 @@ def test_perf_refresh_full_rebuild(benchmark, mutated, perf_export):
     rebuilt = benchmark(rebuild_once)
     assert rebuilt.has_statistics("events")
     perf_export.record("perf_refresh", "full_rebuild", benchmark.stats.stats)
+
+
+def test_perf_refresh_summary_update(benchmark, mutated, perf_export):
+    table, _ = mutated
+    # The analyzed rows, without the unabsorbed delta appended after them.
+    column = table.column("x")[:N_ROWS]
+
+    def update_once():
+        return ColumnSummary(DOMAIN, seed=3, capacity=SAMPLE_SIZE).update(column)
+
+    summary = benchmark(update_once)
+    assert summary.row_count == N_ROWS
+    assert summary.distinct_tracked == SAMPLE_SIZE
+    perf_export.record("perf_refresh", "summary_update", benchmark.stats.stats)
 
 
 def test_incremental_matches_full_rebuild(mutated):

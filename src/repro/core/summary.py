@@ -16,6 +16,16 @@ independent of arrival order), which makes the reservoir exactly
 mergeable: for the same seed, ``merge(update(A), update(B))`` is
 byte-identical to ``update(A + B)`` in any split or merge order.
 
+The same condition lets ``update`` select instead of sort.  It hashes
+every row of a batch but deduplicates only the rows that can still
+enter the reservoir: those at or below the batch's own
+``capacity``-th smallest distinct priority and, once the reservoir is
+full, at or below its largest tracked priority.  Every row of a value
+shares that value's priority, so a surviving value keeps all of its
+rows and an exact count.  A dropped value already has ``capacity``
+distinct values ranked below it, so the bottom-k cut would have
+evicted it anyway.
+
 Determinism comes from hashing, not an RNG: each value's priority is a
 splitmix64-style mix of its float64 bit pattern with the seed, so no
 random state needs to be carried, split, or re-synchronized across
@@ -175,7 +185,7 @@ class ColumnSummary:
         if values.size == 0:
             return self
         self._count += int(values.size)
-        unique, counts = np.unique(values, return_counts=True)
+        unique, counts = self._candidates(values)
         self._absorb(unique, counts.astype(np.int64))
         self._truncate()
         self._version += 1
@@ -290,6 +300,34 @@ class ColumnSummary:
             return values
         return validate_sample(values, self._domain)
 
+    def _candidates(self, values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Distinct values, with row counts, that the batch can contribute.
+
+        A full reservoir holds ``capacity`` values at or below its
+        largest priority, so no row above it can enter.  Of the rest,
+        the rows at or below the ``cut``-th smallest row priority hold
+        the batch's lowest-priority values.  Duplicates can leave fewer
+        than ``capacity`` distinct values below the cut; it then widens
+        until they fill the reservoir or it covers every row.
+        """
+        full = self._values.size >= self._capacity
+        if values.size <= self._capacity and not full:
+            return np.unique(values, return_counts=True)
+        prios = value_priorities(values, self._seed)
+        if full:
+            below = prios <= self._prios.max()
+            values, prios = values[below], prios[below]
+        cut = self._capacity
+        while cut < values.size:
+            survivors = values[prios <= np.partition(prios, cut - 1)[cut - 1]]
+            unique, counts = np.unique(survivors, return_counts=True)
+            if unique.size >= self._capacity or survivors.size == values.size:
+                return unique, counts
+            # Scale the cut by the rows per distinct value seen so far,
+            # with 2x headroom; it at least doubles each round.
+            cut = 2 * survivors.size * self._capacity // unique.size
+        return np.unique(values, return_counts=True)
+
     def _absorb(self, unique: np.ndarray, counts: np.ndarray) -> None:
         if self._values.size == 0:
             self._values = unique.copy()
@@ -315,8 +353,9 @@ class ColumnSummary:
         if self._values.size <= self._capacity:
             return
         # Bottom-k by priority.  Priorities are unique per distinct
-        # value (bijective mix), so the cut is deterministic.
-        keep = np.argsort(self._prios, kind="stable")[: self._capacity]
+        # value (bijective mix), so the k smallest form one set and a
+        # partition selects exactly what a full sort would.
+        keep = np.argpartition(self._prios, self._capacity - 1)[: self._capacity]
         keep.sort()
         self._values = self._values[keep]
         self._counts = self._counts[keep]

@@ -10,7 +10,7 @@ joint 2-D statistics for declared column pairs.
 ANALYZE is **delta-aware**: alongside the estimators it maintains one
 mergeable :class:`~repro.core.summary.ColumnSummary` per column.
 :meth:`Catalog.refresh` replays the table's mutation deltas into those
-summaries (appends become partial summaries merged in, deletes are
+summaries (appends are absorbed by ``update``, deletes are
 subtracted), re-freezes, and rebuilds the estimators from the frozen
 summaries — O(delta + reservoir) instead of the O(n) rescan — falling
 back to a full rebuild once the changed-row fraction exceeds the
@@ -235,8 +235,8 @@ class Catalog:
             current statistics version.
         ``"incremental"``
             The mutation deltas since the last absorbed version were
-            merged into the live summaries (appends as partial-summary
-            merges, deletes as subtractions), the summaries re-frozen,
+            replayed into the live summaries (appends as updates,
+            deletes as subtractions), the summaries re-frozen,
             and the estimators rebuilt from the frozen summaries —
             O(delta + reservoir), no table rescan.
         ``"full"``
@@ -285,11 +285,7 @@ class Catalog:
                 for delta in deltas:
                     batch = delta.rows[column]
                     if delta.kind == "append":
-                        partial = ColumnSummary(
-                            working.domain, seed=working.seed, capacity=working.capacity
-                        )
-                        partial.update(batch)
-                        working = working.merge(partial)
+                        working.update(batch)
                     else:
                         working.delete(batch)
                 frozen = working.freeze()

@@ -7,6 +7,9 @@ bottom-k-by-hash condition, not an arrival-order artifact.  These
 tests pin that claim exactly (``tobytes()`` equality, not allclose),
 plus the graceful-degradation contract for deletions beyond reservoir
 capacity and that a full-capacity summary freezes to its sorted input.
+The merge tests compare the summary with itself, so
+``TestSelectionOracle`` also holds ``update`` to an independent
+sort-based reference.
 """
 
 import numpy as np
@@ -52,6 +55,89 @@ class TestPriorities:
         both = np.array([-0.0, 0.0])
         prios = value_priorities(both, 7)
         assert prios[0] == prios[1]
+
+
+def _sorted_reservoir(batches, *, seed, capacity):
+    """Sort-based reference for the frozen reservoir of ``batches``.
+
+    Deduplicates every row, ranks the distinct values by a stable sort
+    of their priorities, keeps the first ``capacity`` re-sorted by
+    value, and expands them under the same ``EXPANSION_FACTOR`` cap as
+    ``freeze``.  Returns (sample bytes, distinct values, rows).
+    """
+    data = np.concatenate(batches)
+    unique, counts = np.unique(data, return_counts=True)
+    keep = np.sort(np.argsort(value_priorities(unique, seed), kind="stable")[:capacity])
+    values, counts = unique[keep], counts[keep]
+    cap = capacity * EXPANSION_FACTOR
+    if counts.sum() > cap:
+        counts = np.maximum(np.floor(counts * (cap / counts.sum())).astype(np.int64), 1)
+    return np.repeat(values, counts).tobytes(), values.size, data.size
+
+
+#: Reservoir seed of the oracle cases.
+ORACLE_SEED = 11
+
+
+def _heavy_bottom_batch(seed, capacity, repeats):
+    """A batch whose ``capacity`` lowest-priority values each repeat.
+
+    A cut at the ``capacity``-th smallest row priority then holds only
+    about ``capacity / repeats`` distinct values, so it must widen.
+    """
+    pool = np.unique(_values(seed, 20 * capacity))
+    prios = value_priorities(pool, ORACLE_SEED)
+    bottom = pool[np.argsort(prios, kind="stable")[:capacity]]
+    batch = np.concatenate([pool, np.repeat(bottom, repeats - 1)])
+    return np.random.default_rng(seed).permutation(batch)
+
+
+def _refill_batches(seed, first, fresh):
+    """A batch that fills the reservoir, then one that repeats all of it.
+
+    The second batch adds a row to every tracked value, the one with
+    the largest priority included, plus ``fresh`` new values.
+    """
+    head = _values(seed, first)
+    tail = np.concatenate([head, _values(seed + 1, fresh)])
+    return [head, np.random.default_rng(seed).permutation(tail)]
+
+
+class TestSelectionOracle:
+    """``update`` selects the same reservoir a full sort would."""
+
+    @pytest.mark.parametrize(
+        ("domain", "capacity", "batches"),
+        [
+            pytest.param(DOMAIN, 64, [_values(60, 63)], id="capacity-minus-one"),
+            pytest.param(DOMAIN, 64, [_values(61, 64)], id="at-capacity"),
+            pytest.param(DOMAIN, 64, [_values(62, 65)], id="capacity-plus-one"),
+            pytest.param(DOMAIN, 64, [_heavy_bottom_batch(63, 64, 3)], id="cut-widens"),
+            pytest.param(
+                DOMAIN, 64, [_heavy_bottom_batch(64, 64, 40)], id="cut-widens-far"
+            ),
+            pytest.param(DOMAIN, 64, [np.full(5_000, 42.0)], id="constant"),
+            pytest.param(
+                DOMAIN, 8_192, [_values(65, 300), _values(66, 5_000)], id="non-empty"
+            ),
+            pytest.param(DOMAIN, 256, _refill_batches(68, 3_000, 5_000), id="full"),
+            # Nothing new ranks below the tracked values, so every one of
+            # them, the largest-priority one included, keeps its new row.
+            pytest.param(DOMAIN, 256, _refill_batches(70, 3_000, 0), id="full-repeat"),
+            pytest.param(
+                Interval(0.0, 100_000.0),
+                2_048,
+                [np.random.default_rng(67).integers(0, 60_000, 100_000).astype(float)],
+                id="integer-column",
+            ),
+        ],
+    )
+    def test_update_matches_sorted_reservoir(self, domain, capacity, batches):
+        summary = ColumnSummary(domain, seed=ORACLE_SEED, capacity=capacity)
+        for batch in batches:
+            summary.update(batch)
+        actual = (summary.freeze().tobytes(), summary.distinct_tracked, summary.row_count)
+        assert actual == _sorted_reservoir(batches, seed=ORACLE_SEED, capacity=capacity)
 
 
 class TestMergeAlgebra:

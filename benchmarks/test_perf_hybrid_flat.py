@@ -11,6 +11,8 @@ flat path stops beating the per-bin loop
 (``--overhead perf_query_batch.hybrid_legacy:perf_query_batch.hybrid_flat``
 with a cap of 1.0), and times the direct plug-in bandwidth whose
 roughness functionals now run on the linear-binned convolution path.
+The hybrid's build is timed per data shape in
+``test_perf_estimator_build.py``.
 """
 
 import numpy as np
@@ -55,12 +57,6 @@ def query_batch():
     rng = np.random.default_rng(1)
     a = rng.uniform(DOMAIN.low, DOMAIN.high * 0.99, N_QUERIES)
     return a, np.minimum(a + rng.uniform(0.0, 0.2, N_QUERIES) * DOMAIN.width, DOMAIN.high)
-
-
-def test_perf_build_hybrid_flat(benchmark, sample, perf_export):
-    built = benchmark(HybridEstimator, sample, DOMAIN)
-    assert built.selectivity(DOMAIN.low, DOMAIN.high) > 0.99
-    perf_export.record("perf_build", "hybrid_flat", benchmark.stats.stats)
 
 
 def test_perf_query_hybrid_flat(benchmark, estimator, query_batch, perf_export):

@@ -13,14 +13,26 @@ Both timed paths run against a fork of the same analyzed catalog, and
 every full-rebuild round pays the whole O(table) ANALYZE rescan.  The
 scan's own layer, one ``ColumnSummary.update`` over the analyzed
 column, is timed on its own as ``perf_refresh.summary_update``.
+
+The served path is recorded too: an ``EstimationService`` with the
+default tier ladder over a 4-column, 100k-row table drawn from the
+serving benchmark's paper files.  Before each round the table takes
+one 4,000-row append (mirrored records, like the benchmark's drifted
+appends) and one delete; the round then times
+``refresh_incremental`` (``perf_refresh.service_incremental``) or the
+full re-ANALYZE ``refresh`` (``perf_refresh.service_full``).  Each
+round starts from a freshly registered service, so every round does
+the same work.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.summary import ColumnSummary
+from repro.data import registry
 from repro.data.domain import Interval
 from repro.db import Catalog, Table
+from repro.serving import EstimationService, ServiceConfig
 
 DOMAIN = Interval(0.0, 1_000_000.0)
 N_ROWS = 200_000
@@ -87,6 +99,64 @@ def test_perf_refresh_summary_update(benchmark, mutated, perf_export):
     assert summary.row_count == N_ROWS
     assert summary.distinct_tracked == SAMPLE_SIZE
     perf_export.record("perf_refresh", "summary_update", benchmark.stats.stats)
+
+
+#: Column -> paper file of the served table (the serving benchmark's).
+SERVED_SOURCES = {"n": "n(20)", "e": "e(20)", "rr1": "rr1(22)", "iw": "iw"}
+SERVED_ROWS = 100_000
+SERVED_BATCH = 4_000
+SERVED_ROUNDS = 8
+
+
+@pytest.fixture(scope="module")
+def served_columns():
+    rng = np.random.default_rng(0)
+    columns = {}
+    for column, source in SERVED_SOURCES.items():
+        relation = registry.load(source)
+        values = np.asarray(relation.values, dtype=np.float64)
+        columns[column] = (values[rng.choice(values.size, SERVED_ROWS, replace=False)], relation.domain)
+    return columns
+
+
+def _served_round(columns):
+    """A registered service whose table has one unabsorbed append and delete."""
+    table = Table("served", columns)
+    service = EstimationService(ServiceConfig(), seed=1)
+    service.register(table, seed=0)
+    rng = np.random.default_rng(1)
+    pick = rng.integers(0, SERVED_ROWS, SERVED_BATCH)
+    table.append(
+        {
+            column: domain.low + domain.high - table.column(column)[pick]
+            for column, (_, domain) in columns.items()
+        }
+    )
+    n = np.sort(table.column("n"))
+    table.delete_where({"n": (float(n[SERVED_ROWS // 2]), float(n[SERVED_ROWS // 2 + SERVED_BATCH]))})
+    return (service,), {}
+
+
+def test_perf_refresh_service_incremental(benchmark, served_columns, perf_export):
+    def refresh(service):
+        return service.refresh_incremental("served")[1]
+
+    modes = benchmark.pedantic(
+        refresh, setup=lambda: _served_round(served_columns), rounds=SERVED_ROUNDS, iterations=1
+    )
+    assert set(modes.values()) == {"incremental"}
+    perf_export.record("perf_refresh", "service_incremental", benchmark.stats.stats)
+
+
+def test_perf_refresh_service_full(benchmark, served_columns, perf_export):
+    def refresh(service):
+        return service.refresh("served")
+
+    version = benchmark.pedantic(
+        refresh, setup=lambda: _served_round(served_columns), rounds=SERVED_ROUNDS, iterations=1
+    )
+    assert version == 2
+    perf_export.record("perf_refresh", "service_full", benchmark.stats.stats)
 
 
 def test_incremental_matches_full_rebuild(mutated):

@@ -31,10 +31,34 @@ MAX_BANDWIDTH_FRACTION = 0.499
 GAUSS_TO_EPANECHNIKOV = ((0.5 / np.sqrt(np.pi)) / 15.0) ** 0.2
 
 
+#: Probabilities of the lower and upper quartile.
+QUARTILES = np.array([0.25, 0.75])
+
+
+def sorted_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(ordered, q)`` of an ascending array, without sorting.
+
+    The same arithmetic as NumPy's default ``"linear"`` method: the
+    virtual index ``(n - 1) q``, its floor, and the two-sided lerp that
+    switches to ``b - (b - a)(1 - gamma)`` at ``gamma >= 0.5``.  So the
+    result equals ``np.quantile``'s; only the sign of a zero may differ,
+    because ``np.quantile`` partitions and a partition may order ``-0.0``
+    and ``0.0`` differently from a sort.
+    """
+    virtual = (ordered.size - 1) * q
+    lower = np.floor(virtual)
+    index = lower.astype(np.intp)
+    a = ordered[index]
+    b = ordered[np.minimum(index + 1, ordered.size - 1)]
+    gamma = virtual - lower
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+
+
 def iqr(sample: np.ndarray) -> float:
     """Interquartile range (0.75 quantile minus 0.25 quantile)."""
     values = validate_sample(sample)
-    q1, q3 = np.quantile(values, [0.25, 0.75])
+    q1, q3 = sorted_quantiles(np.sort(values), QUARTILES)
     return float(q3 - q1)
 
 

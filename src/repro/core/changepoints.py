@@ -26,9 +26,12 @@ Three refinements make the textbook recipe usable in practice:
   exists.  For a *kink* (slope change) ``|f''|`` is already centered
   and the refinement leaves it alone.
 
-The greedy maxima-with-separation loop is exactly the paper's
+The greedy maxima-with-separation search is exactly the paper's
 recursive scheme: after each split the next global maximum over all
-segment interiors is the next recursive maximum.
+segment interiors is the next recursive maximum.  Blocking only grows,
+so the search visits the candidates once, in decreasing-curvature
+order, and skips the blocked ones (``tests/changepoint_oracle.py``
+keeps the argmax-per-iteration loop it replaces as a test oracle).
 """
 
 from __future__ import annotations
@@ -165,43 +168,51 @@ def detect_change_points(
 
     step = grid[1] - grid[0]
     refine_radius = max(1, int(round(1.5 * g / step)))
+    # The greedy loop takes the largest unblocked candidate at or above
+    # the threshold, and blocking only ever grows, so visiting the
+    # candidates once in decreasing order (stable: ties go to the lower
+    # index, as argmax does) takes the same maxima in the same order.
+    order = np.argsort(-candidates, kind="stable")
+    order = order[: np.count_nonzero((candidates >= relative_threshold * peak) & (candidates > 0))]
+    targets = _jump_targets(slope, order, refine_radius)
+    positions = grid.tolist()
+    windows: dict[int, np.ndarray] = {}
     chosen: list[float] = []
-    blocked = ~(significant & interior)
-    while len(chosen) < max_points:
-        masked = np.where(blocked, 0.0, candidates)
-        index = int(np.argmax(masked))
-        value = masked[index]
-        if value < relative_threshold * peak or value <= 0:
-            break
-        position = _refine_jump(grid, slope, index, refine_radius)
-        blocked[index] = True
-        blocked |= np.abs(grid - position) < separation
+    blocked = np.zeros(grid.size, dtype=bool)
+    for index, target in zip(order.tolist(), targets.tolist()):
+        if blocked[index]:
+            continue
+        position = positions[target]
+        window = windows.get(target)
+        if window is None:
+            window = windows[target] = np.abs(grid - position) < separation
+        blocked |= window
         # Several curvature peaks can refine onto one density jump
         # (|f''| peaks on both sides of it); keep each jump once.
         if all(abs(position - previous) >= separation for previous in chosen):
             chosen.append(position)
+            if len(chosen) == max_points:
+                break
     return np.sort(np.asarray(chosen))
 
 
-def _refine_jump(
-    grid: np.ndarray,
-    slope: np.ndarray,
-    index: int,
-    radius: int,
-) -> float:
-    """Snap a curvature peak to the nearby ``|f'|`` peak when one exists.
+def _jump_targets(slope: np.ndarray, indices: np.ndarray, radius: int) -> np.ndarray:
+    """Grid index each curvature peak in ``indices`` refines to.
 
-    A density *jump* puts its ``|f''|`` maxima one pilot bandwidth to
-    either side of the jump while ``|f'|`` peaks exactly on it.  A
-    *kink* has no interior ``|f'|`` peak nearby, in which case the
-    curvature location is already right and is kept.
+    Snaps a peak to the nearby ``|f'|`` peak when one exists.  A density
+    *jump* puts its ``|f''|`` maxima one pilot bandwidth to either side
+    of the jump while ``|f'|`` peaks exactly on it.  A *kink* has no
+    interior ``|f'|`` peak nearby, so its curvature location is kept.
+    The window of ``index`` is ``|f'|`` over ``index ± radius`` clipped
+    to the grid; its first maximum counts when it is strictly inside
+    the clipped window and positive.
     """
-    lo = max(0, index - radius)
-    hi = min(grid.size, index + radius + 1)
-    window = np.abs(slope[lo:hi])
-    local = int(np.argmax(window))
-    absolute = lo + local
-    interior = 0 < local < window.size - 1
-    if interior and window[local] > 0:
-        return float(grid[absolute])
-    return float(grid[index])
+    magnitude = np.abs(slope)
+    pad = np.full(radius, -np.inf)
+    padded = np.concatenate([pad, magnitude, pad])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1)[indices]
+    peak = indices - radius + np.argmax(windows, axis=1)
+    lo = np.maximum(indices - radius, 0)
+    hi = np.minimum(indices + radius + 1, magnitude.size)
+    snap = (peak > lo) & (peak < hi - 1) & (magnitude[peak] > 0)
+    return np.where(snap, peak, indices)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bandwidth.scale import sorted_quantiles
 from repro.core.base import InvalidSampleError, validate_sample
 from repro.core.histogram.bins import PiecewiseConstantDensity
 from repro.data.domain import Interval
@@ -44,8 +45,7 @@ class EquiDepthHistogram(PiecewiseConstantDensity):
             raise InvalidSampleError(
                 f"cannot build {bins} equi-depth bins from {values.size} samples"
             )
-        quantiles = np.linspace(0.0, 1.0, bins + 1)
-        edges = np.quantile(values, quantiles)
+        edges = sorted_quantiles(values, np.linspace(0.0, 1.0, bins + 1))
         # Equi-depth by definition: every bin carries exactly n/k of the
         # sample mass.  On heavy-duplicate data several quantiles
         # coincide; those zero-width bins then carry n/k each, which is

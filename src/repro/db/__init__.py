@@ -7,8 +7,9 @@ but real:
 
 * :mod:`repro.db.table` — multi-column tables with exact predicate
   evaluation and sampling.
-* :mod:`repro.db.catalog` — ``ANALYZE``: build and cache per-column
-  statistics with a pluggable estimator family.
+* :mod:`repro.db.catalog` — ``ANALYZE``: one family-independent
+  table record (row sample, mergeable reservoirs, row counts) and the
+  per-column statistics a pluggable estimator family builds from it.
 * :mod:`repro.db.planner` — cardinality estimation for conjunctions
   of range predicates (independence or joint 2-D statistics) and a
   two-access-path cost model with ``EXPLAIN`` output.

@@ -5,7 +5,10 @@ import pytest
 
 from repro.core.base import InvalidSampleError
 from repro.core.changepoints import detect_change_points, pilot_bandwidth
+from repro.core.summary import ColumnSummary
+from repro.data import registry
 from repro.data.domain import Interval
+from tests.changepoint_oracle import greedy_change_points
 
 
 @pytest.fixture()
@@ -83,3 +86,70 @@ class TestPilotBandwidth:
         small = pilot_bandwidth(rng.normal(0, 1, 100))
         large = pilot_bandwidth(rng.normal(0, 1, 10_000))
         assert small > large > 0
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus():
+    """Seeded samples on which the search must match the greedy loop.
+
+    2,000-row draws of the registry shapes the serving benchmark uses,
+    mirrored-drift mixtures built like its appends, frozen reservoirs
+    of those (the refresh-time input, where the greedy loop ran 100+
+    iterations), random normal mixtures (a third rounded to
+    duplicates) and near-constant samples.
+    """
+    rng = np.random.default_rng(2024)
+    corpus = []
+    for name in ("n(20)", "e(20)", "rr1(22)", "iw"):
+        relation = registry.load(name)
+        values = np.asarray(relation.values, dtype=np.float64)
+        domain = relation.domain
+        for _ in range(6):
+            corpus.append((values[rng.choice(values.size, 2_000, replace=False)], domain))
+        summary = ColumnSummary(domain, seed=11, capacity=2_000)
+        summary.update(values[rng.choice(values.size, 20_000, replace=False)])
+        for drift in np.linspace(0.0, 1.0, 6):
+            picked = values[rng.integers(0, values.size, 2_000)]
+            mirror = rng.random(2_000) < drift
+            batch = np.where(mirror, domain.low + domain.high - picked, picked)
+            corpus.append((batch, domain))
+            summary.update(batch)
+            corpus.append((summary.freeze(), domain))
+    domain = Interval(0.0, 1_000.0)
+    for index in range(36):
+        parts = [
+            rng.normal(rng.uniform(0.0, 1_000.0), rng.uniform(1.0, 200.0), int(rng.integers(5, 800)))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        sample = np.clip(np.concatenate(parts), 0.0, 1_000.0)
+        if index % 3 == 0:
+            step = rng.uniform(1.0, 50.0)
+            sample = np.clip(np.round(sample / step) * step, 0.0, 1_000.0)
+        corpus.append((sample, domain))
+    for outliers in range(0, 12, 3):
+        sample = np.full(500, 500.0)
+        sample[:outliers] = rng.uniform(0.0, 1_000.0, outliers)
+        corpus.append((sample, domain))
+    return corpus
+
+
+class TestGreedyOracle:
+    """The one-pass search returns the greedy loop's points, bit for bit."""
+
+    @pytest.mark.parametrize("min_separation", [0.04, 0.012])
+    @pytest.mark.parametrize("max_points", [8, 20])
+    def test_matches_greedy_loop(self, oracle_corpus, max_points, min_separation):
+        for sample, domain in oracle_corpus:
+            kwargs = dict(max_points=max_points, min_separation=min_separation)
+            got = detect_change_points(sample, domain, **kwargs)
+            want = greedy_change_points(sample, domain, **kwargs)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_corpus_exercises_long_searches(self, oracle_corpus):
+        # The drifted and frozen samples are the ones where the greedy
+        # loop ran many iterations; the corpus must keep at least some
+        # multi-point results so the comparison is not vacuous.
+        counts = [detect_change_points(s, d, max_points=20).size for s, d in oracle_corpus]
+        assert max(counts) >= 5
+        assert min(counts) == 0

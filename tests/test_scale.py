@@ -5,8 +5,10 @@ import pytest
 
 from repro.bandwidth.scale import (
     GAUSS_TO_EPANECHNIKOV,
+    QUARTILES,
     iqr,
     robust_scale,
+    sorted_quantiles,
     to_gaussian_bandwidth,
 )
 from repro.core.base import InvalidSampleError
@@ -19,6 +21,32 @@ class TestIqr:
     def test_normal_sample_near_1348_sigma(self):
         sample = np.random.default_rng(0).normal(0, 1, 50_000)
         assert iqr(sample) == pytest.approx(1.348, abs=0.03)
+
+
+class TestSortedQuantiles:
+    """The sorted-array read equals ``np.quantile`` (linear method)."""
+
+    def test_matches_numpy_quantile(self):
+        rng = np.random.default_rng(4)
+        for _ in range(400):
+            n = int(rng.integers(1, 3_000))
+            values = rng.normal(0.0, rng.uniform(0.1, 100.0), n)
+            # Rounding leaves runs of duplicates of varying length.
+            values = np.sort(np.round(values, int(rng.integers(0, 4))))
+            bins = int(rng.integers(1, 80))
+            for q in (np.linspace(0.0, 1.0, bins + 1), QUARTILES, rng.random(5)):
+                np.testing.assert_array_equal(
+                    sorted_quantiles(values, q), np.quantile(values, q)
+                )
+
+    def test_endpoints_are_extremes(self):
+        values = np.array([-3.0, 1.0, 1.0, 7.5])
+        assert sorted_quantiles(values, np.array([0.0, 1.0])).tolist() == [-3.0, 7.5]
+
+    def test_iqr_matches_numpy_on_unsorted_input(self):
+        sample = np.random.default_rng(5).exponential(3.0, 1_001)
+        q1, q3 = np.quantile(sample, [0.25, 0.75])
+        assert iqr(sample) == float(q3 - q1)
 
 
 class TestRobustScale:
